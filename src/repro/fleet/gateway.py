@@ -3,10 +3,18 @@
 One process, one event loop, many vehicles: each registered tenant
 streams digitizer chunks in (REST ``POST /tenants/<id>/ingest`` or a
 persistent WebSocket) and gets that chunk's verdicts back on the same
-round-trip.  The event loop only parses and routes; every CPU-heavy
-step — model training, chunk classification, checkpoint serialisation —
-runs on a thread executor while the tenant's asyncio lock is held, so
-one slow vehicle never stalls the others.
+round-trip.  The event loop parses and routes: per chunk it still does
+the byte work of framing (WebSocket unmasking is one numpy XOR), JSON
+parsing and base64 decoding.  Every heavier step — model training,
+chunk classification, checkpoint serialisation, rehydration — runs on a
+thread executor while the tenant's asyncio lock is held, so one slow
+vehicle never stalls the others.
+
+When a chunk's tenant has to be rehydrated over the residency budget,
+the least-recently-active idle tenant is checkpointed out *after* that
+chunk's reply is written, not before it is decoded; ``max_resident``
+can therefore be exceeded briefly, by the number of rehydrations in
+flight.  Registration still evicts before it answers.
 
 Routes
 ------
@@ -25,9 +33,9 @@ GET  ``/metrics``                Prometheus text exposition
 ==== =========================== ==========================================
 
 Shutdown is graceful: :meth:`FleetGateway.drain` flips the gateway into
-a draining state (ingest answers 503), waits for in-flight chunks to
-finish, and checkpoints every resident tenant so no accepted sample is
-lost across a restart.
+a draining state (ingest answers 503), waits for in-flight chunks and
+pending evictions to finish, and checkpoints every resident tenant so
+no accepted sample is lost across a restart.
 """
 
 from __future__ import annotations
@@ -191,6 +199,7 @@ class FleetGateway:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        await self.supervisor.close()
         for task in list(self._sessions):
             task.cancel()
         if self._sessions:

@@ -1,8 +1,8 @@
-"""Wire protocol of the fleet gateway: HTTP/1.1 and WebSocket, stdlib only.
+"""Wire protocol of the fleet gateway: HTTP/1.1 and WebSocket.
 
 The gateway cannot assume an HTTP framework in the container, so this
 module implements the minimum slice of both protocols over
-:mod:`asyncio` streams:
+:mod:`asyncio` streams (stdlib only, plus numpy for the mask XOR):
 
 * **HTTP/1.1** — request parsing (request line, headers,
   ``Content-Length`` bodies) and response rendering with keep-alive, for
@@ -31,6 +31,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 from urllib.parse import parse_qs, urlparse
+
+import numpy as np
 
 from repro.errors import FleetError
 
@@ -289,6 +291,18 @@ def render_ws_handshake(key: str) -> bytes:
     ).encode("latin-1")
 
 
+def apply_ws_mask(payload: bytes, mask_key: bytes) -> bytes:
+    """XOR ``payload`` with the 4-byte ``mask_key`` repeated (RFC 6455 5.3).
+
+    Masking and unmasking are the same operation.  The XOR runs over
+    the whole payload in one numpy call: frames carry ~175 KB chunks,
+    and a per-byte Python loop held the event loop for tens of ms.
+    """
+    n = len(payload)
+    key = np.frombuffer(mask_key * ((n + 3) // 4), dtype=np.uint8)[:n]
+    return (np.frombuffer(payload, dtype=np.uint8) ^ key).tobytes()
+
+
 def encode_ws_frame(
     payload: bytes,
     *,
@@ -312,15 +326,16 @@ def encode_ws_frame(
     if len(mask_key) != 4:
         raise ProtocolError("WebSocket mask key must be 4 bytes")
     head += mask_key
-    masked = bytes(b ^ mask_key[i % 4] for i, b in enumerate(payload))
-    return bytes(head) + masked
+    return bytes(head) + apply_ws_mask(payload, mask_key)
 
 
 async def read_ws_frame(reader: asyncio.StreamReader) -> tuple[int, bytes]:
     """Read one frame: ``(opcode, unmasked payload)``.
 
     Returns ``(OP_CLOSE, b"")`` when the peer closes the socket without
-    a close frame, so session loops have a single exit condition.
+    a close frame, so session loops have a single exit condition.  A
+    peer that closes partway through a frame raises
+    :class:`ProtocolError`.
     """
     try:
         head = await reader.readexactly(2)
@@ -332,16 +347,19 @@ async def read_ws_frame(reader: asyncio.StreamReader) -> tuple[int, bytes]:
         raise ProtocolError("fragmented WebSocket frames are not supported")
     masked = head[1] & 0x80
     length = head[1] & 0x7F
-    if length == 126:
-        length = int.from_bytes(await reader.readexactly(2), "big")
-    elif length == 127:
-        length = int.from_bytes(await reader.readexactly(8), "big")
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"WebSocket frame too large: {length} bytes")
-    mask_key = await reader.readexactly(4) if masked else b""
-    payload = await reader.readexactly(length) if length else b""
+    try:
+        if length == 126:
+            length = int.from_bytes(await reader.readexactly(2), "big")
+        elif length == 127:
+            length = int.from_bytes(await reader.readexactly(8), "big")
+        if length > MAX_FRAME_BYTES:
+            raise ProtocolError(f"WebSocket frame too large: {length} bytes")
+        mask_key = await reader.readexactly(4) if masked else b""
+        payload = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError as exc:
+        raise ProtocolError("connection closed mid-frame") from exc
     if masked:
-        payload = bytes(b ^ mask_key[i % 4] for i, b in enumerate(payload))
+        payload = apply_ws_mask(payload, mask_key)
     return opcode, payload
 
 
@@ -396,6 +414,7 @@ __all__ = [
     "ProtocolError",
     "STATUS_PHRASES",
     "WS_GUID",
+    "apply_ws_mask",
     "client_handshake_request",
     "client_ws_connect",
     "encode_ws_frame",

@@ -10,12 +10,21 @@ next request for that tenant rehydrates it from disk; the checkpoint
 round-trip is byte-identical, so eviction is invisible in the verdict
 stream (pinned by the equivalence property tests).
 
+A registration evicts before it answers.  A rehydration does not: it
+hands the victim's checkpoint to a supervisor-owned task that waits
+for the rehydrating request to release its tenant lock, so the chunk
+that triggered it never waits on another tenant's checkpoint.  Until
+those tasks finish, residency may exceed ``max_resident`` by the
+number of rehydrations in flight.  :meth:`FleetSupervisor.settle` waits
+for them, :meth:`FleetSupervisor.drain` settles before it flushes, and
+:meth:`FleetSupervisor.close` settles and defers no more.
+
 Concurrency model: all bookkeeping (the tenant table, LRU ordering,
-eviction choice) happens on the event loop, so it needs no locks.  The
-heavy lifting — chunk classification, checkpoint serialisation,
-rehydration — runs in the gateway's thread executor while the tenant's
-own :class:`asyncio.Lock` is held, which serialises each tenant's
-pipeline without blocking the loop or other tenants.
+eviction choice) happens on the event loop, so it needs no thread
+locks.  The heavy lifting — chunk classification, checkpoint
+serialisation, rehydration — runs in the gateway's thread executor
+while the tenant's own :class:`asyncio.Lock` is held, which serialises
+each tenant's pipeline without blocking the loop or other tenants.
 """
 
 from __future__ import annotations
@@ -96,6 +105,11 @@ class FleetSupervisor:
         self.tenants: dict[str, TenantRecord] = {}
         self.evictions = 0
         self.rehydrations = 0
+        self._deferred: set[asyncio.Task[None]] = set()
+        self._closed = False
+        # One budget pass at a time: a pass counts a tenant another pass
+        # is still checkpointing as resident, and would evict one extra.
+        self._budget_lock = asyncio.Lock()
 
     # ------------------------------------------------------------------
     # Helpers
@@ -186,7 +200,7 @@ class FleetSupervisor:
                     REHYDRATIONS_METRIC,
                     help="Tenants restored from an eviction checkpoint",
                 ).inc()
-            await self._enforce_budget(keep=record)
+            self._defer_budget(record)
             self._publish()
         return record.engine
 
@@ -200,17 +214,64 @@ class FleetSupervisor:
         """Evict LRU idle tenants until the budget holds."""
         if self.state_dir is None:
             return  # no spill target: the budget is advisory
-        while True:
-            resident = self._resident_records()
-            if len(resident) <= self.max_resident:
-                return
-            victims = [
-                r for r in resident if r is not keep and not r.lock.locked()
-            ]
-            if not victims:
-                return  # everything else is mid-request; try again later
-            victim = min(victims, key=lambda r: r.last_active)
-            await self.evict(victim)
+        async with self._budget_lock:
+            while True:
+                resident = self._resident_records()
+                if len(resident) <= self.max_resident:
+                    return
+                victims = [
+                    r for r in resident
+                    if r is not keep and not r.lock.locked()
+                ]
+                if not victims:
+                    return  # everything else is mid-request; try again later
+                victim = min(victims, key=lambda r: r.last_active)
+                await self.evict(victim)
+
+    def _defer_budget(self, record: TenantRecord) -> None:
+        """Enforce the budget once ``record``'s current holder lets go."""
+        if self._closed:
+            return
+        task = asyncio.create_task(self._budget_after(record))
+        self._deferred.add(task)
+        task.add_done_callback(self._reap)
+
+    async def _budget_after(self, record: TenantRecord) -> None:
+        # The rehydrating request holds this lock until its reply is
+        # written; queueing on it keeps the victim's checkpoint off that
+        # request's critical path.
+        async with record.lock:
+            pass
+        await self._enforce_budget(keep=record)
+
+    def _reap(self, task: asyncio.Task[None]) -> None:
+        self._deferred.discard(task)
+        if task.cancelled():
+            return
+        exc = task.exception()
+        if exc is not None:
+            # Nobody awaits a deferred eviction, so report it the way
+            # asyncio reports any failed background task.
+            task.get_loop().call_exception_handler({
+                "message": "deferred tenant eviction failed",
+                "exception": exc,
+                "task": task,
+            })
+
+    async def settle(self) -> None:
+        """Wait until every deferred eviction has finished."""
+        while self._deferred:
+            await asyncio.wait(set(self._deferred))
+
+    async def close(self) -> None:
+        """Defer no more evictions, and wait for the pending ones.
+
+        Call before in-flight requests are cancelled: a cancelled
+        request releases its tenant lock while its executor work still
+        runs, so no eviction may pick a victim after that point.
+        """
+        self._closed = True
+        await self.settle()
 
     async def evict(self, record: TenantRecord) -> None:
         """Checkpoint one tenant to disk and release its memory."""
@@ -242,6 +303,7 @@ class FleetSupervisor:
         """
         if self.state_dir is None:
             return 0
+        await self.settle()
         flushed = 0
         for record in list(self.tenants.values()):
             if record.resident:

@@ -3,7 +3,10 @@
 import asyncio
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet.protocol import (
     MAX_FRAME_BYTES,
@@ -13,6 +16,7 @@ from repro.fleet.protocol import (
     OP_TEXT,
     HttpRequest,
     ProtocolError,
+    apply_ws_mask,
     client_handshake_request,
     encode_ws_frame,
     read_http_request,
@@ -220,3 +224,111 @@ class TestWebSocket:
 
     def test_bare_eof_reads_as_close(self):
         assert parse_frame(b"") == (OP_CLOSE, b"")
+
+
+# ----------------------------------------------------------------------
+# WebSocket masking and hostile frames (properties)
+# ----------------------------------------------------------------------
+def reference_mask(payload: bytes, mask_key: bytes) -> bytes:
+    """The per-byte XOR the codec ran before it was vectorised."""
+    return bytes(b ^ mask_key[i % 4] for i, b in enumerate(payload))
+
+
+#: Lengths around the 7/16/64-bit length-form boundaries.
+BOUNDARY_LENGTHS = [0, 1, 2, 3, 125, 126, 65535, 65536]
+
+mask_keys = st.binary(min_size=4, max_size=4)
+
+
+@st.composite
+def payloads(draw):
+    length = draw(st.sampled_from(BOUNDARY_LENGTHS) | st.integers(0, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 256, length, dtype=np.uint8).tobytes()
+
+
+@st.composite
+def frames(draw):
+    """One well-formed frame, masked or not, as either peer sends it."""
+    payload = draw(payloads())
+    opcode = draw(st.sampled_from([OP_TEXT, OP_BINARY, OP_PING]))
+    mask_key = draw(st.none() | mask_keys)
+    return encode_ws_frame(payload, opcode=opcode, mask_key=mask_key)
+
+
+def header_length(frame: bytes) -> int:
+    length = frame[1] & 0x7F
+    extended = {126: 2, 127: 8}.get(length, 0)
+    return 2 + extended + (4 if frame[1] & 0x80 else 0)
+
+
+def read_bounded(data: bytes):
+    """``read_ws_frame`` on ``data`` then EOF; a hang fails the test."""
+
+    async def go():
+        return await asyncio.wait_for(read_ws_frame(fed_reader(data)), 5.0)
+
+    return run(go())
+
+
+class TestMasking:
+    @settings(max_examples=60, deadline=None)
+    @given(payload=payloads(), mask_key=mask_keys)
+    def test_helper_matches_per_byte_reference(self, payload, mask_key):
+        masked = apply_ws_mask(payload, mask_key)
+        assert masked == reference_mask(payload, mask_key)
+        assert apply_ws_mask(masked, mask_key) == payload
+
+    @settings(max_examples=40, deadline=None)
+    @given(payload=payloads(), mask_key=mask_keys)
+    def test_masked_frame_is_byte_identical_and_roundtrips(
+        self, payload, mask_key
+    ):
+        raw = encode_ws_frame(payload, opcode=OP_BINARY, mask_key=mask_key)
+        head = len(raw) - len(payload)
+        assert raw[head - 4:head] == mask_key
+        assert raw[head:] == reference_mask(payload, mask_key)
+        assert read_bounded(raw) == (OP_BINARY, payload)
+
+
+class TestHostileFrames:
+    @settings(max_examples=60, deadline=None)
+    @given(frame=frames(), data=st.data())
+    def test_truncated_frame_raises_or_reads_as_close(self, frame, data):
+        cut = data.draw(st.integers(0, len(frame) - 1))
+        if cut < 2:
+            # Not even a frame header: the peer simply went away.
+            assert read_bounded(frame[:cut]) == (OP_CLOSE, b"")
+        else:
+            with pytest.raises(ProtocolError, match="mid-frame"):
+                read_bounded(frame[:cut])
+
+    @settings(max_examples=100, deadline=None)
+    @given(frame=frames(), data=st.data())
+    def test_bit_flipped_header_never_crashes_or_hangs(self, frame, data):
+        # A flipped payload bit is just another payload; the header is
+        # where a flip can derail the parser.
+        bit = data.draw(st.integers(0, 8 * header_length(frame) - 1))
+        flipped = bytearray(frame)
+        flipped[bit // 8] ^= 0x80 >> (bit % 8)
+        try:
+            opcode, payload = read_bounded(bytes(flipped))
+        except ProtocolError:
+            return
+        assert 0 <= opcode <= 0x0F
+        assert len(payload) < len(frame)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        length=st.integers(MAX_FRAME_BYTES + 1, 2**64 - 1),
+        mask_key=st.none() | mask_keys,
+        tail=st.binary(max_size=64),
+    )
+    def test_oversize_length_rejected_before_reading(
+        self, length, mask_key, tail
+    ):
+        mask_bit = 0x80 if mask_key is not None else 0x00
+        head = bytes([0x80 | OP_TEXT, mask_bit | 127]) + length.to_bytes(8, "big")
+        with pytest.raises(ProtocolError, match="too large"):
+            read_bounded(head + (mask_key or b"") + tail)

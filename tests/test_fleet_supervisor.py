@@ -12,7 +12,7 @@ from repro.fleet.supervisor import (
     TENANTS_METRIC,
     FleetSupervisor,
 )
-from repro.fleet.tenant import CaptureParams, TenantEngine
+from repro.fleet.tenant import TENANT_META_FILE, CaptureParams, TenantEngine
 from repro.obs.registry import MetricsRegistry
 
 
@@ -146,6 +146,152 @@ class TestEviction:
             return supervisor.evictions
 
         assert run(go()) == 1
+
+
+async def over_budget_fleet(registry, make_engine, state_dir, count=3):
+    """``count`` tenants on a budget of 2; registration evicted the oldest."""
+    supervisor = FleetSupervisor(registry, state_dir=state_dir, max_resident=2)
+    records = [
+        await supervisor.register(f"v{i}", make_engine(f"v{i}"))
+        for i in range(1, count + 1)
+    ]
+    assert [r.evicted for r in records[:count - 2]] == [True] * (count - 2)
+    return supervisor, records
+
+
+class TestDeferredEviction:
+    def test_rehydrate_returns_before_the_victims_checkpoint(
+        self, registry, make_engine, tmp_path
+    ):
+        async def go():
+            supervisor, (v1, _v2, _v3) = await over_budget_fleet(
+                registry, make_engine, tmp_path
+            )
+            async with v1.lock:
+                engine = await supervisor.resident_engine(v1)
+                # Give a deferred eviction every chance to run early.
+                await asyncio.sleep(0.05)
+                during = (
+                    supervisor.stats()["resident"],
+                    (tmp_path / "v2").exists(),
+                )
+            await supervisor.settle()
+            return engine, during, supervisor
+
+        engine, during, supervisor = run(go())
+        assert engine.tenant_id == "v1"
+        assert during == (3, False)  # over budget until the reply is out
+        assert supervisor.record("v2").evicted  # the LRU idle tenant
+        assert (tmp_path / "v2" / TENANT_META_FILE).is_file()
+        assert supervisor.evictions == 2
+
+    def test_concurrent_rehydrations_settle_within_budget(
+        self, registry, make_engine, tmp_path
+    ):
+        async def rehydrate(supervisor, record):
+            async with record.lock:
+                await supervisor.resident_engine(record)
+                await asyncio.sleep(0.01)
+
+        async def go():
+            supervisor, records = await over_budget_fleet(
+                registry, make_engine, tmp_path, count=5
+            )
+            evicted = [r for r in records if r.evicted]
+            await asyncio.gather(*(rehydrate(supervisor, r) for r in evicted))
+            await supervisor.settle()
+            return supervisor.stats()
+
+        stats = run(go())
+        # Exactly back to budget: concurrent passes must not over-evict.
+        assert stats["resident"] == 2
+        assert stats["rehydrations"] == 3
+        assert gauge_value(registry, "resident") == 2
+
+    def test_a_locked_tenant_is_never_the_victim(
+        self, registry, make_engine, tmp_path
+    ):
+        async def go():
+            supervisor, (v1, v2, _v3) = await over_budget_fleet(
+                registry, make_engine, tmp_path
+            )
+            async with v2.lock:  # v2 is least recently active, but busy
+                async with v1.lock:
+                    await supervisor.resident_engine(v1)
+                await supervisor.settle()
+            return supervisor
+
+        supervisor = run(go())
+        assert supervisor.record("v2").resident
+        assert supervisor.record("v3").evicted
+        assert supervisor.stats()["resident"] == 2
+
+    def test_drain_with_an_eviction_pending_loses_nothing(
+        self, registry, make_engine, tmp_path
+    ):
+        async def go():
+            supervisor, (v1, _v2, _v3) = await over_budget_fleet(
+                registry, make_engine, tmp_path
+            )
+            async with v1.lock:
+                await supervisor.resident_engine(v1)
+            flushed = await supervisor.drain()
+            return flushed, supervisor.stats()
+
+        flushed, stats = run(go())
+        assert flushed == 2  # the deferred eviction took the third
+        assert stats["resident"] == 0
+        for name in ("v1", "v2", "v3"):
+            directory = tmp_path / name
+            assert (directory / TENANT_META_FILE).is_file()
+            assert TenantEngine.rehydrate(directory).tenant_id == name
+
+    def test_failed_deferred_eviction_is_reported_not_lost(
+        self, registry, make_engine, tmp_path
+    ):
+        def broken_checkpoint(directory):
+            raise OSError("disk full")
+
+        async def go():
+            reported = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: reported.append(context)
+            )
+            supervisor, (v1, v2, _v3) = await over_budget_fleet(
+                registry, make_engine, tmp_path
+            )
+            v2.engine.checkpoint = broken_checkpoint
+            async with v1.lock:
+                await supervisor.resident_engine(v1)
+            await supervisor.settle()
+            return reported, supervisor
+
+        reported, supervisor = run(go())
+        assert len(reported) == 1
+        assert isinstance(reported[0]["exception"], OSError)
+        assert supervisor.record("v2").resident  # nothing half-evicted
+        assert supervisor.evictions == 1
+
+
+    def test_close_waits_for_pending_and_defers_no_more(
+        self, registry, make_engine, tmp_path
+    ):
+        async def go():
+            supervisor, (v1, v2, _v3) = await over_budget_fleet(
+                registry, make_engine, tmp_path
+            )
+            async with v1.lock:
+                await supervisor.resident_engine(v1)
+            await supervisor.close()
+            after_close = supervisor.stats()["resident"]
+            async with v2.lock:  # evicted by the pending pass above
+                await supervisor.resident_engine(v2)
+            await asyncio.sleep(0.05)
+            return after_close, supervisor.stats()["resident"]
+
+        after_close, later = run(go())
+        assert after_close == 2  # the pending eviction ran to completion
+        assert later == 3  # a rehydration after close evicts nobody
 
 
 class TestLifecycle:
