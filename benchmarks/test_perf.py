@@ -37,8 +37,8 @@ import time
 import numpy as np
 
 from benchmarks.conftest import report, report_json
-from repro.core.edge_extraction import ExtractionConfig, extract_many
-from repro.perf.batch import synthesize_waveform_batch
+from repro.core.edge_extraction import ExtractionConfig, _extract_edge_set
+from repro.perf.batch import synthesize_waveform_matrix
 from repro.perf.cache import CaptureCache
 from repro.perf.engine import capture_and_extract, capture_session_engine
 from repro.perf.parallel import rngs_for_slice
@@ -87,9 +87,10 @@ def _synth_case(sterling, rate_hz: float, n: int) -> dict:
         ]
 
     def batched(rngs):
-        return synthesize_waveform_batch(
+        volts, n_samples = synthesize_waveform_matrix(
             wire, transceiver, chain.synthesis, noise=chain.noise, rngs=rngs
         )
+        return [volts[i, : int(n_samples[i])] for i in range(n)]
 
     # Equivalence first (also warms both paths), then interleaved timing
     # with generators pre-built outside the timed regions.
@@ -133,12 +134,14 @@ def test_perf_engine(sterling):
 
     def legacy_e2e():
         # The honest pre-engine baseline: serial capture plus the scalar
-        # bit-walker.  The extractor's default impl is now "vector" —
-        # this PR's own vectorisation — so an unpinned call would speed
+        # bit-walker, one trace at a time.  The production walkers are
+        # the engine's own vectorisation, so using them here would speed
         # up the baseline and understate the engine's gain.
         session = capture_session(vehicle, duration_s, seed=123)
         config = ExtractionConfig.for_trace(session.traces[0])
-        return session, extract_many(session.traces, config, impl="scalar")
+        return session, [
+            _extract_edge_set(trace, config) for trace in session.traces
+        ]
 
     def engine_e2e(jobs):
         return capture_and_extract(vehicle, duration_s, seed=123, jobs=jobs)

@@ -23,7 +23,6 @@ Two Chapter 5 enhancements live here as options:
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
@@ -36,28 +35,6 @@ from repro.acquisition.adc import AdcConfig
 from repro.acquisition.trace import VoltageTrace
 from repro.errors import ExtractionError
 from repro.obs.spans import stage_timer
-
-#: Environment variable selecting the bit-walker implementation:
-#: ``vector`` (default, numpy edge-index walker) or ``scalar`` (the
-#: original per-sample reference oracle).  Both produce byte-identical
-#: edge sets — the switch exists so the scalar walker stays available as
-#: the equivalence oracle for property tests and for debugging.
-EXTRACT_IMPL_ENV_VAR = "REPRO_EXTRACT_IMPL"
-
-#: Valid values for :data:`EXTRACT_IMPL_ENV_VAR` / the ``impl`` argument.
-EXTRACT_IMPLS = ("vector", "scalar")
-
-
-def resolve_extract_impl(impl: str | None = None) -> str:
-    """Effective walker implementation: explicit arg, else env, else vector."""
-    if impl is None:
-        impl = os.environ.get(EXTRACT_IMPL_ENV_VAR) or "vector"
-    impl = impl.strip().lower()
-    if impl not in EXTRACT_IMPLS:
-        raise ExtractionError(
-            f"unknown extraction impl {impl!r}; expected one of {EXTRACT_IMPLS}"
-        )
-    return impl
 
 #: Logical bit positions in an extended frame (SOF = bit 0, stuff bits
 #: excluded): the J1939 SA occupies bits 24-31 and bit 33 is the first
@@ -227,18 +204,12 @@ def get_bit_value(sample: float, threshold: float) -> int:
 
 
 def extract_edge_set(
-    trace: VoltageTrace,
-    config: ExtractionConfig,
-    *,
-    impl: str | None = None,
+    trace: VoltageTrace, config: ExtractionConfig
 ) -> ExtractedEdgeSet:
     """Run Algorithm 1 on one trace.
 
     Observability: times into ``vprofile_stage_seconds{stage="extract"}``
     when a metrics registry is enabled (no-op otherwise).
-
-    ``impl`` selects the bit-walker (``vector``/``scalar``, both
-    byte-identical); ``None`` defers to ``REPRO_EXTRACT_IMPL``.
 
     Raises
     ------
@@ -247,12 +218,19 @@ def extract_edge_set(
         is encountered.
     """
     with stage_timer("extract"):
-        if resolve_extract_impl(impl) == "scalar":
-            return _extract_edge_set(trace, config)
         return _extract_edge_set_vector(trace, config)
 
 
 def _extract_edge_set(trace: VoltageTrace, config: ExtractionConfig) -> ExtractedEdgeSet:
+    """Reference oracle: Algorithm 1 walked one sample at a time.
+
+    This is the paper's pseudocode transcribed literally, and it has no
+    production caller.  The per-trace vector walker
+    (:func:`_extract_edge_set_vector`) and the columnar walker
+    (:func:`extract_edge_sets_batch`) must both reproduce its edge sets
+    and its error messages byte for byte; the property tests and the
+    legacy baseline of ``benchmarks/test_perf.py`` call it directly.
+    """
     samples = np.asarray(trace.counts, dtype=float)
     # The bit walker touches samples one at a time; plain-float list
     # indexing is several times cheaper than NumPy scalar indexing, and
@@ -746,7 +724,6 @@ def extract_many(
     *,
     skip_failures: bool = False,
     index_base: int = 0,
-    impl: str | None = None,
 ) -> list[ExtractedEdgeSet]:
     """Extract edge sets from many traces.
 
@@ -762,7 +739,6 @@ def extract_many(
         config,
         skip_failures=skip_failures,
         index_base=index_base,
-        impl=impl,
     )
     if skipped:
         from repro.obs import get_registry
@@ -780,7 +756,6 @@ def extract_many_indexed(
     *,
     skip_failures: bool = False,
     index_base: int = 0,
-    impl: str | None = None,
 ) -> tuple[list[ExtractedEdgeSet], list[tuple[int, str]]]:
     """:func:`extract_many` plus the skip ledger, without counting.
 
@@ -789,40 +764,39 @@ def extract_many_indexed(
     processes use this instead of :func:`extract_many` so skip counts
     survive the process boundary: the parent folds the ledgers into the
     ``vprofile_extraction_skipped_total`` counter exactly once.
+
+    The walker follows the input size: many traces go through the
+    columnar walker (:func:`extract_edge_sets_batch`) in one pass, a
+    single trace through the per-trace vector walker, whose setup is
+    far cheaper than a one-row columnar block.
     """
     if not traces:
         return [], []
     if config is None:
         config = ExtractionConfig.for_trace(traces[0])
-    impl = resolve_extract_impl(impl)
+    outcomes: Sequence[ExtractedEdgeSet | ExtractionError]
+    if len(traces) > 1:
+        outcomes = extract_edge_sets_batch(traces, config)
+    else:
+        try:
+            outcomes = [extract_edge_set(traces[0], config)]
+        except ExtractionError as exc:
+            outcomes = [exc]
     results: list[ExtractedEdgeSet] = []
     skipped: list[tuple[int, str]] = []
-    if impl == "vector" and len(traces) > 1:
-        for offset, outcome in enumerate(extract_edge_sets_batch(traces, config)):
-            if isinstance(outcome, ExtractionError):
-                if not skip_failures:
-                    trace = traces[offset]
-                    raise ExtractionError(
-                        f"message {index_base + offset} "
-                        f"(sample offset "
-                        f"{int(round(trace.start_s * trace.sample_rate))})"
-                        f": {outcome}"
-                    ) from outcome
-                skipped.append((index_base + offset, str(outcome)))
-            else:
-                results.append(outcome)
-        return results, skipped
-    for offset, trace in enumerate(traces):
-        try:
-            results.append(extract_edge_set(trace, config, impl=impl))
-        except ExtractionError as exc:
+    for offset, outcome in enumerate(outcomes):
+        if isinstance(outcome, ExtractionError):
             if not skip_failures:
+                trace = traces[offset]
                 raise ExtractionError(
                     f"message {index_base + offset} "
-                    f"(sample offset {int(round(trace.start_s * trace.sample_rate))})"
-                    f": {exc}"
-                ) from exc
-            skipped.append((index_base + offset, str(exc)))
+                    f"(sample offset "
+                    f"{int(round(trace.start_s * trace.sample_rate))})"
+                    f": {outcome}"
+                ) from outcome
+            skipped.append((index_base + offset, str(outcome)))
+        else:
+            results.append(outcome)
     return results, skipped
 
 

@@ -55,6 +55,7 @@ from repro.fleet import protocol
 from repro.fleet.protocol import (
     HttpRequest,
     ProtocolError,
+    encode_ws_close,
     encode_ws_frame,
     read_http_request,
     read_ws_frame,
@@ -515,7 +516,14 @@ class FleetGateway:
         writer: asyncio.StreamWriter,
     ) -> None:
         while True:
-            opcode, frame = await read_ws_frame(reader)
+            try:
+                opcode, frame = await read_ws_frame(reader)
+            except ProtocolError as exc:
+                writer.write(
+                    encode_ws_close(protocol.WS_CLOSE_PROTOCOL_ERROR, str(exc))
+                )
+                await writer.drain()
+                return
             if opcode == protocol.OP_CLOSE:
                 writer.write(encode_ws_frame(frame, opcode=protocol.OP_CLOSE))
                 await writer.drain()
@@ -524,7 +532,7 @@ class FleetGateway:
                 writer.write(encode_ws_frame(frame, opcode=protocol.OP_PONG))
                 await writer.drain()
                 continue
-            if opcode not in (protocol.OP_TEXT, protocol.OP_BINARY):
+            if opcode == protocol.OP_PONG:
                 continue
             reply = await self._ws_message(record, frame)
             writer.write(

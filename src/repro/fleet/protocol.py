@@ -66,6 +66,13 @@ OP_BINARY = 0x2
 OP_CLOSE = 0x8
 OP_PING = 0x9
 OP_PONG = 0xA
+#: Every opcode RFC 6455 defines; 0x3-0x7 and 0xB-0xF are reserved.
+_DEFINED_OPCODES = frozenset({OP_CONT, OP_TEXT, OP_BINARY, OP_CLOSE, OP_PING, OP_PONG})
+
+#: Close status for a peer that broke the protocol (RFC 6455 7.4.1).
+WS_CLOSE_PROTOCOL_ERROR = 1002
+#: Control-frame payloads are capped at 125 bytes, 2 of them the status.
+_MAX_CLOSE_REASON_BYTES = 123
 
 
 class ProtocolError(FleetError):
@@ -329,12 +336,24 @@ def encode_ws_frame(
     return bytes(head) + apply_ws_mask(payload, mask_key)
 
 
+def encode_ws_close(status: int, reason: str = "") -> bytes:
+    """A server close frame: 2-byte ``status`` then a UTF-8 ``reason``.
+
+    The reason is cut to fit the control-frame limit, on a character
+    boundary.
+    """
+    text = reason.encode("utf-8")[:_MAX_CLOSE_REASON_BYTES]
+    text = text.decode("utf-8", "ignore").encode("utf-8")
+    return encode_ws_frame(status.to_bytes(2, "big") + text, opcode=OP_CLOSE)
+
+
 async def read_ws_frame(reader: asyncio.StreamReader) -> tuple[int, bytes]:
     """Read one frame: ``(opcode, unmasked payload)``.
 
     Returns ``(OP_CLOSE, b"")`` when the peer closes the socket without
     a close frame, so session loops have a single exit condition.  A
-    peer that closes partway through a frame raises
+    peer that closes partway through a frame, sets an RSV bit (no
+    extension is ever negotiated) or uses a reserved opcode raises
     :class:`ProtocolError`.
     """
     try:
@@ -343,6 +362,10 @@ async def read_ws_frame(reader: asyncio.StreamReader) -> tuple[int, bytes]:
         return OP_CLOSE, b""
     fin = head[0] & 0x80
     opcode = head[0] & 0x0F
+    if head[0] & 0x70:
+        raise ProtocolError("WebSocket RSV bits set without an extension")
+    if opcode not in _DEFINED_OPCODES:
+        raise ProtocolError(f"reserved WebSocket opcode 0x{opcode:X}")
     if not fin or opcode == OP_CONT:
         raise ProtocolError("fragmented WebSocket frames are not supported")
     masked = head[1] & 0x80
@@ -413,10 +436,12 @@ __all__ = [
     "OP_TEXT",
     "ProtocolError",
     "STATUS_PHRASES",
+    "WS_CLOSE_PROTOCOL_ERROR",
     "WS_GUID",
     "apply_ws_mask",
     "client_handshake_request",
     "client_ws_connect",
+    "encode_ws_close",
     "encode_ws_frame",
     "http_json",
     "http_request",

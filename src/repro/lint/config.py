@@ -144,10 +144,8 @@ class LintConfig:
     )
     seed_sinks: tuple[str, ...] = (
         "repro.analog.waveform.synthesize_waveform",
-        "repro.perf.batch.synthesize_waveform_batch",
         "repro.perf.batch.synthesize_waveform_matrix",
         "repro.analog.synthesize_waveform",
-        "repro.perf.synthesize_waveform_batch",
         "repro.perf.synthesize_waveform_matrix",
     )
     baseline: str = "lint-baseline.json"

@@ -15,8 +15,8 @@ a fast, cached, parallel engine while keeping results reproducible:
 * :mod:`repro.perf.cache` — a content-addressed on-disk capture cache
   keyed by (vehicle, capture config, seed, schema version).
 
-Determinism contract: for a fixed seed, every ``jobs`` value, the
-batched and unbatched renderers, and cache hits vs fresh simulation all
+Determinism contract: for a fixed seed, every ``jobs`` value, inline
+and cross-process chunks, and cache hits vs fresh simulation all
 produce byte-identical traces — message *i* always draws from
 ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``, independent
 of how messages are grouped into batches or worker chunks.
@@ -24,10 +24,7 @@ of how messages are grouped into batches or worker chunks.
 
 from __future__ import annotations
 
-from repro.perf.batch import (
-    synthesize_waveform_batch,
-    synthesize_waveform_matrix,
-)
+from repro.perf.batch import synthesize_waveform_matrix
 from repro.perf.cache import (
     CACHE_SCHEMA_VERSION,
     CaptureCache,
@@ -49,7 +46,6 @@ from repro.perf.parallel import (
 )
 
 __all__ = [
-    "synthesize_waveform_batch",
     "synthesize_waveform_matrix",
     "CaptureCache",
     "CACHE_SCHEMA_VERSION",

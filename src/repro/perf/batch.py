@@ -27,34 +27,6 @@ from repro.analog.waveform import SynthesisConfig, step_response
 from repro.errors import PerfError
 
 
-def synthesize_waveform_batch(
-    wire_matrix: np.ndarray,
-    transceiver: TransceiverParams,
-    config: SynthesisConfig,
-    *,
-    env: Environment = NOMINAL_ENVIRONMENT,
-    noise: ChannelNoise | None = None,
-    rngs: Sequence[np.random.Generator],
-    wire_lengths: Sequence[int] | None = None,
-) -> list[np.ndarray]:
-    """Render ``G`` messages in one vectorized pass, sliced into rows.
-
-    Thin wrapper over :func:`synthesize_waveform_matrix`.  Rows are
-    views into the shared ``(G, S_max)`` render buffer — callers must
-    copy before mutating (the engine only reads/quantizes them).
-    """
-    volts, n_samples = synthesize_waveform_matrix(
-        wire_matrix,
-        transceiver,
-        config,
-        env=env,
-        noise=noise,
-        rngs=rngs,
-        wire_lengths=wire_lengths,
-    )
-    return [volts[i, : int(n_samples[i])] for i in range(volts.shape[0])]
-
-
 def synthesize_waveform_matrix(
     wire_matrix: np.ndarray,
     transceiver: TransceiverParams,

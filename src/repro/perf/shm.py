@@ -35,7 +35,6 @@ names (VPL401).
 from __future__ import annotations
 
 import atexit
-import os
 import threading
 import weakref
 from dataclasses import dataclass
@@ -53,35 +52,6 @@ SHM_SEGMENTS_METRIC = "vprofile_perf_shm_segments_total"
 SHM_BYTES_METRIC = "vprofile_perf_shm_bytes_total"
 SHM_OPEN_METRIC = "vprofile_perf_shm_segments_open"
 SHM_LEAKED_METRIC = "vprofile_perf_shm_segments_leaked_total"
-
-#: Environment switch for the zero-copy hand-off (CLI ``--no-shm``).
-SHM_ENV_VAR = "REPRO_SHM"
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-_FALSY = frozenset({"0", "false", "no", "off"})
-
-
-def resolve_shm(shm: bool | None = None) -> bool:
-    """Whether the engine should hand chunks off over shared memory.
-
-    Explicit argument wins, then ``REPRO_SHM``, then the default of
-    ``True`` — shared memory changes only how bytes travel, never the
-    bytes, so it is safe to prefer.
-    """
-    if shm is not None:
-        return bool(shm)
-    raw = os.environ.get(SHM_ENV_VAR)
-    if raw is None or raw.strip() == "":
-        return True
-    value = raw.strip().lower()
-    if value in _TRUTHY:
-        return True
-    if value in _FALSY:
-        return False
-    raise PerfError(
-        f"{SHM_ENV_VAR} must be one of {sorted(_TRUTHY | _FALSY)}, got {raw!r}"
-    )
-
 
 @dataclass(frozen=True)
 class ShmChunk:
@@ -304,8 +274,6 @@ __all__ = [
     "SharedArena",
     "pack_arrays",
     "get_arena",
-    "resolve_shm",
-    "SHM_ENV_VAR",
     "SHM_SEGMENTS_METRIC",
     "SHM_BYTES_METRIC",
     "SHM_OPEN_METRIC",

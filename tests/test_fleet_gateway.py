@@ -9,6 +9,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -30,6 +31,8 @@ from repro.fleet.protocol import (
     OP_PING,
     OP_PONG,
     OP_TEXT,
+    WS_CLOSE_PROTOCOL_ERROR,
+    client_handshake_request,
     client_ws_connect,
     encode_ws_frame,
     http_json,
@@ -363,6 +366,65 @@ class TestWebSocket:
         reply = asyncio.run(session())
         assert reply["type"] == "error"
         assert "bad frame" in reply["error"]
+
+
+MASK = b"\x01\x02\x03\x04"
+
+
+def _rsv_frame() -> bytes:
+    frame = bytearray(encode_ws_frame(b"hi", mask_key=MASK))
+    frame[0] |= 0x40  # RSV1, with no extension negotiated
+    return bytes(frame)
+
+
+#: (sent bytes, half-close after sending, expected close reason).
+HOSTILE_FRAMES = {
+    "truncated": (encode_ws_frame(b"x" * 100, mask_key=MASK)[:20], True, "mid-frame"),
+    "rsv-bit": (_rsv_frame(), False, "RSV"),
+    "opcode-0x3": (encode_ws_frame(b"hi", opcode=0x3, mask_key=MASK), False, "0x3"),
+    "opcode-0xB": (encode_ws_frame(b"hi", opcode=0xB, mask_key=MASK), False, "0xB"),
+}
+
+
+def _recv_exactly(sock: socket.socket, n: int) -> bytes:
+    data = b""
+    while len(data) < n:
+        more = sock.recv(n - len(data))
+        assert more, f"socket closed after {len(data)} of {n} bytes"
+        data += more
+    return data
+
+
+class TestWebSocketProtocolErrors:
+    """A client that breaks RFC 6455 gets a 1002 close frame, not a
+    silently dropped socket, and the gateway keeps serving."""
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_FRAMES))
+    def test_protocol_error_answers_1002_close(self, gateway, model_b64, case):
+        register(gateway, model_b64)
+        sent, half_close, reason = HOSTILE_FRAMES[case]
+        address = (gateway.host, gateway.port)
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(
+                client_handshake_request("/tenants/v1/stream", "dGhlIHNhbXBsZSBub25jZQ==")
+            )
+            head = b""
+            while not head.endswith(b"\r\n\r\n"):
+                head += _recv_exactly(sock, 1)
+            assert head.startswith(b"HTTP/1.1 101")
+            sock.sendall(sent)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+            first, second = _recv_exactly(sock, 2)
+            assert first == 0x80 | OP_CLOSE
+            assert not second & 0x80  # server frames are unmasked
+            payload = _recv_exactly(sock, second & 0x7F)
+            assert int.from_bytes(payload[:2], "big") == WS_CLOSE_PROTOCOL_ERROR
+            assert reason in payload[2:].decode("utf-8")
+            assert sock.recv(1) == b""  # the session ends after the close
+        status, body = call(gateway, "GET", "/fleet")
+        assert status == 200
+        assert body["tenants"] == 1
 
 
 class TestObservability:

@@ -18,6 +18,7 @@ from repro.fleet.protocol import (
     ProtocolError,
     apply_ws_mask,
     client_handshake_request,
+    encode_ws_close,
     encode_ws_frame,
     read_http_request,
     read_http_response,
@@ -224,6 +225,13 @@ class TestWebSocket:
 
     def test_bare_eof_reads_as_close(self):
         assert parse_frame(b"") == (OP_CLOSE, b"")
+
+    def test_close_frame_reason_fits_control_limit(self):
+        opcode, payload = parse_frame(encode_ws_close(1002, "é" * 100))
+        assert opcode == OP_CLOSE
+        assert len(payload) <= 125
+        assert int.from_bytes(payload[:2], "big") == 1002
+        assert payload[2:].decode("utf-8") == "é" * 61
 
 
 # ----------------------------------------------------------------------

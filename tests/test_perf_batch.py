@@ -9,7 +9,7 @@ from repro.analog.channel import NOISY_CHANNEL, QUIET_CHANNEL
 from repro.analog.transceiver import EdgeDynamics
 from repro.analog.waveform import SynthesisConfig, step_response, synthesize_waveform
 from repro.errors import PerfError
-from repro.perf.batch import synthesize_waveform_batch, synthesize_waveform_matrix
+from repro.perf.batch import synthesize_waveform_matrix
 from repro.perf.parallel import message_seed
 
 
@@ -82,6 +82,12 @@ def _batch_rngs(seed, n):
     return [np.random.default_rng(message_seed(seed, i)) for i in range(n)]
 
 
+def _matrix_rows(*args, **kwargs):
+    """The matrix render sliced into per-message rows."""
+    volts, n_samples = synthesize_waveform_matrix(*args, **kwargs)
+    return [volts[i, : int(n_samples[i])] for i in range(volts.shape[0])]
+
+
 class TestBatchedSynthesis:
     @pytest.mark.parametrize("noise", [None, QUIET_CHANNEL, NOISY_CHANNEL])
     def test_byte_identical_to_serial(self, noise):
@@ -96,7 +102,7 @@ class TestBatchedSynthesis:
         wire = bit_rng.integers(0, 2, size=(12, 60)).astype(np.int8)
         wire[:, 0] = 0  # SOF is dominant
 
-        batched = synthesize_waveform_batch(
+        batched = _matrix_rows(
             wire, transceiver, config, noise=noise, rngs=_batch_rngs(11, 12)
         )
         serial_rngs = _batch_rngs(11, 12)
@@ -112,7 +118,7 @@ class TestBatchedSynthesis:
         transceiver = sterling_acterra().ecus[1].transceiver
         config = SynthesisConfig(sample_rate=2_000_000.0)
         wire = np.array([[0, 1, 1, 0, 0, 0, 1, 0, 1, 1]], dtype=np.int8)
-        [volts] = synthesize_waveform_batch(
+        [volts] = _matrix_rows(
             wire, transceiver, config,
             noise=QUIET_CHANNEL, rngs=_batch_rngs(3, 1),
         )
@@ -135,7 +141,7 @@ class TestBatchedSynthesis:
         bit_rng = np.random.default_rng(21)
         wire = bit_rng.integers(0, 2, size=(5, 64)).astype(np.int8)
         wire[:, 0] = 0  # SOF is dominant
-        batched = synthesize_waveform_batch(
+        batched = _matrix_rows(
             wire, transceiver, config, noise=noise,
             rngs=_batch_rngs(17, 5), wire_lengths=lengths,
         )
@@ -147,7 +153,7 @@ class TestBatchedSynthesis:
             assert np.array_equal(volts, expected)
 
     def test_matrix_rows_are_batch_rows(self):
-        """The matrix variant is the batch minus the final slicing."""
+        """Each row holds its message's samples, then scratch columns."""
         from repro.vehicles.profiles import vehicle_a
 
         transceiver = vehicle_a().ecus[0].transceiver
@@ -159,14 +165,13 @@ class TestBatchedSynthesis:
             wire, transceiver, config, noise=QUIET_CHANNEL,
             rngs=_batch_rngs(9, 3), wire_lengths=lengths,
         )
-        rows = synthesize_waveform_batch(
-            wire, transceiver, config, noise=QUIET_CHANNEL,
-            rngs=_batch_rngs(9, 3), wire_lengths=lengths,
-        )
         assert volts.shape == (3, int(n_samples.max()))
-        for i, row in enumerate(rows):
-            assert row.size == int(n_samples[i])
-            assert np.array_equal(volts[i, : row.size], row)
+        for i, (rng, n) in enumerate(zip(_batch_rngs(9, 3), lengths)):
+            expected = synthesize_waveform(
+                wire[i, :n], transceiver, config, noise=QUIET_CHANNEL, rng=rng
+            )
+            assert expected.size == int(n_samples[i])
+            assert np.array_equal(volts[i, : expected.size], expected)
 
     def test_rejects_bad_wire_lengths(self):
         from repro.vehicles.profiles import sterling_acterra
@@ -175,17 +180,17 @@ class TestBatchedSynthesis:
         config = SynthesisConfig(sample_rate=2_000_000.0)
         wire = np.zeros((2, 8), dtype=np.int8)
         with pytest.raises(PerfError):
-            synthesize_waveform_batch(
+            _matrix_rows(
                 wire, transceiver, config,
                 rngs=_batch_rngs(0, 2), wire_lengths=[8],
             )
         with pytest.raises(PerfError):
-            synthesize_waveform_batch(
+            _matrix_rows(
                 wire, transceiver, config,
                 rngs=_batch_rngs(0, 2), wire_lengths=[8, 9],
             )
         with pytest.raises(PerfError):
-            synthesize_waveform_batch(
+            _matrix_rows(
                 wire, transceiver, config,
                 rngs=_batch_rngs(0, 2), wire_lengths=[0, 8],
             )
@@ -196,16 +201,16 @@ class TestBatchedSynthesis:
         transceiver = sterling_acterra().ecus[0].transceiver
         config = SynthesisConfig(sample_rate=2_000_000.0)
         with pytest.raises(PerfError):
-            synthesize_waveform_batch(
+            _matrix_rows(
                 np.zeros(8, dtype=np.int8), transceiver, config, rngs=[]
             )
         with pytest.raises(PerfError):
-            synthesize_waveform_batch(
+            _matrix_rows(
                 np.zeros((2, 8), dtype=np.int8), transceiver, config,
                 rngs=_batch_rngs(0, 1),
             )
         with pytest.raises(PerfError):
-            synthesize_waveform_batch(
+            _matrix_rows(
                 np.zeros((1, 0), dtype=np.int8), transceiver, config,
                 rngs=_batch_rngs(0, 1),
             )

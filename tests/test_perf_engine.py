@@ -23,6 +23,7 @@ from repro.perf.parallel import (
     message_seed,
     parallel_map,
     resolve_jobs,
+    rngs_for_slice,
     spawn_seeds,
 )
 
@@ -116,13 +117,20 @@ class TestEngineEquivalence:
         _assert_traces_equal(serial.traces, fanned.traces)
 
     def test_batched_matches_unbatched(self, stream_vehicle):
+        """The pad-batched renderer equals rendering one message at a
+        time through the capture chain, with the same per-message
+        generators."""
         transmissions = plan_transmissions(stream_vehicle, 1.0, seed=7)
-        batched = render_transmissions(
-            stream_vehicle, transmissions, seed=7, batch=True
-        )
-        unbatched = render_transmissions(
-            stream_vehicle, transmissions, seed=7, batch=False
-        )
+        batched = render_transmissions(stream_vehicle, transmissions, seed=7)
+        chain = stream_vehicle.capture_chain()
+        transceivers = {ecu.name: ecu.transceiver for ecu in stream_vehicle.ecus}
+        rngs = rngs_for_slice(7, 0, len(transmissions))
+        unbatched = [
+            chain.capture_frame(
+                tx.frame, transceivers[tx.sender], rng=rng, start_s=tx.start_s
+            )
+            for tx, rng in zip(transmissions, rngs)
+        ]
         _assert_traces_equal(batched, unbatched)
         starts = [trace.start_s for trace in batched]
         assert starts == sorted(starts)

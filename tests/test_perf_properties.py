@@ -17,7 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.detection import Detector
-from repro.core.edge_extraction import ExtractionConfig, extract_many
+from repro.core.edge_extraction import (
+    ExtractionConfig,
+    _extract_edge_set,
+    extract_edge_set,
+    extract_edge_sets_batch,
+    extract_many,
+    extract_many_indexed,
+)
 from repro.core.model import VProfileModel
 from repro.core.pipeline import PipelineConfig, VProfilePipeline
 from repro.errors import ExtractionError
@@ -82,25 +89,25 @@ class TestEngineProperties:
         seed=st.integers(min_value=0, max_value=10_000),
         jobs=st.integers(min_value=2, max_value=4),
     )
-    def test_shm_and_pipe_handoff_are_identical(
+    def test_shm_handoff_matches_inline(
         self, stream_vehicle, trained_detector, seed, jobs
     ):
-        """How chunk bytes travel back never changes them.
+        """Chunks handed back through shared memory equal inline chunks.
 
         The CPU-affinity cap would collapse multi-job runs to the
         inline path on small CI boxes, so it is lifted for the test —
-        both runs must actually cross the worker boundary.  Varying
-        ``jobs`` also varies the chunking, exercising descriptor
+        the fanned-out run must actually cross the worker boundary.
+        Varying ``jobs`` also varies the chunking, exercising descriptor
         reassembly at several chunk shapes.
         """
+        inline = capture_and_extract(
+            stream_vehicle, DURATION_S, seed=seed, jobs=1
+        )
         with mock.patch.object(engine_mod, "_usable_cpus", return_value=4):
             shared = capture_and_extract(
-                stream_vehicle, DURATION_S, seed=seed, jobs=jobs, shm=True
+                stream_vehicle, DURATION_S, seed=seed, jobs=jobs
             )
-            piped = capture_and_extract(
-                stream_vehicle, DURATION_S, seed=seed, jobs=jobs, shm=False
-            )
-        _assert_equivalent(trained_detector, shared, piped)
+        _assert_equivalent(trained_detector, inline, shared)
 
     @SETTINGS
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -111,13 +118,15 @@ class TestEngineProperties:
             stream_vehicle, DURATION_S, seed=seed, jobs=1
         )
         config = ExtractionConfig.for_trace(session.traces[0])
-        vector = extract_many(session.traces, config, impl="vector")
-        scalar = extract_many(session.traces, config, impl="scalar")
-        assert len(vector) == len(scalar)
-        for a, b in zip(vector, scalar):
-            assert a.source_address == b.source_address
-            assert np.array_equal(a.vector, b.vector)
-        assert _verdicts(trained_detector, vector) == _verdicts(
+        columnar = extract_many(session.traces, config)
+        vector = [extract_edge_set(trace, config) for trace in session.traces]
+        scalar = [_extract_edge_set(trace, config) for trace in session.traces]
+        assert len(columnar) == len(vector) == len(scalar)
+        for a, b, c in zip(columnar, vector, scalar):
+            assert a.source_address == b.source_address == c.source_address
+            assert np.array_equal(a.vector, c.vector)
+            assert np.array_equal(b.vector, c.vector)
+        assert _verdicts(trained_detector, columnar) == _verdicts(
             trained_detector, scalar
         )
 
@@ -185,6 +194,77 @@ class TestExtractionParity:
         name = "vprofile_extraction_skipped_total"
         assert serial_registry.get(name).value == 1
         assert fanned_registry.get(name).value == 1
+
+
+def _outcome(outcome):
+    """An edge set or an extraction error, as a comparable value."""
+    if isinstance(outcome, ExtractionError):
+        return str(outcome)
+    return outcome.source_address, outcome.vector.tobytes()
+
+
+def _oracle(walker, trace, config):
+    try:
+        return _outcome(walker(trace, config))
+    except ExtractionError as exc:
+        return _outcome(exc)
+
+
+class TestScalarOracleParity:
+    """Both production walkers reproduce the scalar oracle's edge sets
+    and its exact error messages, and the skip ledger follows suit."""
+
+    @pytest.fixture()
+    def damaged_traces(self, stream_train_session):
+        base = stream_train_session.traces[0]
+        config = ExtractionConfig.for_trace(base)
+        n = base.counts.size
+        # Truncations at every stage of the walk: before the SOF, inside
+        # the identifier, before the edge set and inside its windows.
+        traces = [
+            dataclasses.replace(base, counts=base.counts[:cut])
+            for cut in range(1, n)
+        ]
+        traces.append(
+            dataclasses.replace(
+                base, counts=np.full_like(base.counts, base.counts.min())
+            )
+        )
+        # Eight dominant bit times straight after the SOF break the
+        # stuffing rule.
+        stuck = base.counts.copy()
+        sof = int(np.argmax(stuck >= config.threshold))
+        width = int(config.bit_width)
+        stuck[sof : sof + 8 * width] = stuck.max()
+        traces.append(dataclasses.replace(base, counts=stuck))
+        return traces, config
+
+    def test_walkers_match_oracle_on_damaged_traces(self, damaged_traces):
+        traces, config = damaged_traces
+        scalar = [_oracle(_extract_edge_set, t, config) for t in traces]
+        vector = [_oracle(extract_edge_set, t, config) for t in traces]
+        columnar = [_outcome(o) for o in extract_edge_sets_batch(traces, config)]
+        assert vector == scalar
+        assert columnar == scalar
+        kinds = {" ".join(o.split()[:2]) for o in scalar if isinstance(o, str)}
+        assert kinds >= {
+            "no start-of-frame", "bit walk", "stuff violation",
+            "trace ended", "edge search", "edge window",
+        }, kinds
+        assert any(not isinstance(o, str) for o in scalar)
+
+    def test_skip_ledger_matches_oracle(self, damaged_traces):
+        traces, config = damaged_traces
+        scalar = [_oracle(_extract_edge_set, t, config) for t in traces]
+        results, ledger = extract_many_indexed(
+            traces, config, skip_failures=True, index_base=100
+        )
+        assert [_outcome(r) for r in results] == [
+            o for o in scalar if not isinstance(o, str)
+        ]
+        assert ledger == [
+            (100 + i, o) for i, o in enumerate(scalar) if isinstance(o, str)
+        ]
 
 
 def test_model_trained_on_engine_capture_is_job_invariant(stream_vehicle):

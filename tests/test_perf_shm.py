@@ -26,7 +26,6 @@ from repro.perf.shm import (
     ShmChunk,
     get_arena,
     pack_arrays,
-    resolve_shm,
 )
 
 
@@ -131,30 +130,6 @@ class TestArenaLifecycle:
 
     def test_process_arena_is_shared(self):
         assert get_arena() is get_arena()
-
-
-class TestResolveShm:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert resolve_shm(True) is True
-        assert resolve_shm(False) is False
-
-    def test_env_values(self, monkeypatch):
-        for raw, expected in (
-            ("1", True), ("true", True), ("on", True), ("YES", True),
-            ("0", False), ("false", False), ("off", False), ("No", False),
-        ):
-            monkeypatch.setenv("REPRO_SHM", raw)
-            assert resolve_shm() is expected
-
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM", raising=False)
-        assert resolve_shm() is True
-
-    def test_garbage_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "maybe")
-        with pytest.raises(PerfError):
-            resolve_shm()
 
 
 class TestPersistentPools:
