@@ -32,8 +32,12 @@ def euclidean_distance(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def euclidean_distances(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean distances from ``points`` (n, d) to ``center``."""
-    diffs = np.asarray(points, dtype=float) - np.asarray(center, dtype=float)
+    """Row-wise Euclidean distances from ``points`` (n, d) to ``center``.
+
+    Each row's distance is bit-identical whatever batch it is scored in
+    (see :func:`mahalanobis_distances`).
+    """
+    diffs = np.asarray(points, dtype=float, order="C") - np.asarray(center, dtype=float)
     return np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
 
 
@@ -85,9 +89,21 @@ def mahalanobis_distance(x: np.ndarray, mean: np.ndarray, inv_cov: np.ndarray) -
 
 
 def mahalanobis_distances(points: np.ndarray, mean: np.ndarray, inv_cov: np.ndarray) -> np.ndarray:
-    """Row-wise Mahalanobis distances from ``points`` (n, d) to a cluster."""
-    diffs = np.asarray(points, dtype=float) - np.asarray(mean, dtype=float)
-    values = np.einsum("ij,jk,ik->i", diffs, inv_cov, diffs)
+    """Row-wise Mahalanobis distances from ``points`` (n, d) to a cluster.
+
+    Each row's distance is bit-identical whether the row is scored alone,
+    in a small batch at any offset, or in a large one: every row takes
+    its own (1, d) x (d, d) product, so BLAS runs the same kernel in the
+    same summation order for it regardless of ``n``.  One (n, d) x (d, d)
+    GEMM would be faster still, but OpenBLAS picks its kernel and blocking
+    from ``n``, so a row's last bits would depend on the batch it rides
+    in.  Stream checkpoint/resume equality and the fleet gateway's
+    verdict equality with an in-process engine rely on this property.
+    C order keeps every row on the contiguous kernel.
+    """
+    diffs = np.asarray(points, dtype=float, order="C") - np.asarray(mean, dtype=float)
+    projected = np.matmul(diffs[:, None, :], inv_cov)[:, 0, :]
+    values = np.einsum("ij,ij->i", projected, diffs)
     return np.sqrt(np.maximum(values, 0.0))
 
 

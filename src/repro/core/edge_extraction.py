@@ -496,30 +496,22 @@ def _extract_columnar_block(
     id_first = config.frame_format.id_first_bit
     id_last = config.frame_format.id_last_bit
 
-    cols = np.arange(s_max, dtype=np.int32)
     above = samples >= threshold
-    # change[g, i]: a polarity run starts at sample i (i >= 1).
-    change = np.zeros((n_rows, s_max), dtype=bool)
-    if s_max > 1:
-        change[:, 1:] = above[:, 1:] != above[:, :-1]
-    # run_start[g, i]: first sample of the polarity run containing i —
-    # exactly where the scalar backward scan stops (before its floor clamp).
-    run_start = np.where(change, cols[None, :], np.int32(0))
-    np.maximum.accumulate(run_start, axis=1, out=run_start)
-    # next_change[g, i]: smallest change index >= i, or `big`.  Replaces
-    # the scalar forward sample scans: polarity runs alternate, so the
-    # first change after a wrong-polarity position starts the wanted
-    # run.  The suffix-min runs over a contiguous reversed copy —
-    # accumulating through a negative-stride view hits the slow path.
-    big = s_max + 1
-    rev = np.flip(np.where(change, cols[None, :], np.int32(big)), axis=1).copy()
-    np.minimum.accumulate(rev, axis=1, out=rev)
-    next_change = np.flip(rev, axis=1).copy()
-
-    rows = np.arange(n_rows)
-    flat_base = rows.astype(np.int64) * s_max
     above_flat = above.reshape(-1)
-    run_start_flat = run_start.reshape(-1)
+    flat_base = np.arange(n_rows, dtype=np.int64) * s_max
+    # One edge index over the whole block, as the per-trace walker keeps
+    # per trace: edges[k] is the flat index of the first sample of a
+    # polarity run.  Row boundaries are dropped, so an entry can sit at a
+    # row's column 0 (the previous row ended with the other polarity) or
+    # answer a query from another row; each query below maps such an
+    # answer to the same result the row's own edges would give.
+    # Sentinels on both ends keep every searchsorted answer a valid index.
+    edges = np.concatenate((
+        [-1],
+        np.flatnonzero(above_flat[1:] != above_flat[:-1]) + 1,
+        [np.iinfo(np.int64).max],
+    ))
+
     err = np.zeros(n_rows, dtype=np.int8)
     e1 = np.zeros(n_rows, dtype=np.int64)
     e2 = np.zeros(n_rows, dtype=np.int64)
@@ -572,11 +564,15 @@ def _extract_columnar_block(
         bit = ~above_flat.take(flat)
         changed = active & (bit != prev_bit)
 
-        # Changed rows re-centre: run start clamped to the scalar floor.
+        # Changed rows re-centre on the start of the polarity run holding
+        # `index` (the last edge at or before it), clamped to the scalar
+        # floor.  An edge from an earlier row, or the sentinel, lands
+        # below the row's base, so the floor (>= 0) wins there.
         if changed.any():
             floor = np.rint(pos - bit_width).astype(np.int64)
             np.maximum(floor, 0, out=floor)
-            crossing = np.maximum(run_start_flat.take(flat), floor)
+            run_start = edges.take(np.searchsorted(edges, flat, side="right") - 1)
+            crossing = np.maximum(run_start - flat_base, floor)
             pos = np.where(changed, crossing + half_bit, pos)
         is_stuff = changed & (run_length == 5)
         same = active ^ changed          # changed is a subset of active
@@ -604,24 +600,22 @@ def _extract_columnar_block(
 
     # --- edge windows ------------------------------------------------
     samples_flat = samples.reshape(-1)
-    next_change_flat = next_change.reshape(-1)
 
     def _advance(p: np.ndarray, want_above: bool) -> tuple[np.ndarray, np.ndarray]:
-        """First index >= p of the wanted polarity, per row (or `big`).
+        """First index >= p of the wanted polarity, per row.
 
         If ``p`` already matches it is returned unchanged; otherwise the
         run containing ``p`` has the wrong polarity, and because runs
-        alternate the first change strictly after ``p`` starts the
-        wanted run.  Any answer at or past the row's real length fails —
-        the scalar scans would have run off the trace there.
+        alternate the first edge strictly after ``p`` starts the wanted
+        run.  ``p >= 0``, so that edge is at column >= 1 of the row or
+        past the row's end.  Any answer at or past the row's real length
+        fails — the scalar scans would have run off the trace there.
         """
         p_safe = np.minimum(p, s_max - 1)
         np.maximum(p_safe, 0, out=p_safe)
         direct = (p < lengths) & (above_flat.take(flat_base + p_safe) == want_above)
-        after = np.minimum(p + 1, s_max - 1)
-        np.maximum(after, 0, out=after)
-        nxt = np.where(p + 1 < s_max, next_change_flat.take(flat_base + after), big)
-        new_p = np.where(direct, p, nxt)
+        after = edges.take(np.searchsorted(edges, flat_base + p + 1)) - flat_base
+        new_p = np.where(direct, p, after)
         return new_p, new_p >= lengths
 
     prefix, suffix = config.prefix_len, config.suffix_len

@@ -57,8 +57,8 @@ from repro.fleet.protocol import (
     ProtocolError,
     encode_ws_close,
     encode_ws_frame,
+    read_client_ws_frame,
     read_http_request,
-    read_ws_frame,
     render_json,
     render_response,
     render_ws_handshake,
@@ -517,7 +517,7 @@ class FleetGateway:
     ) -> None:
         while True:
             try:
-                opcode, frame = await read_ws_frame(reader)
+                opcode, frame = await read_client_ws_frame(reader)
             except ProtocolError as exc:
                 writer.write(
                     encode_ws_close(protocol.WS_CLOSE_PROTOCOL_ERROR, str(exc))

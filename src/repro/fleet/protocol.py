@@ -354,8 +354,26 @@ async def read_ws_frame(reader: asyncio.StreamReader) -> tuple[int, bytes]:
     a close frame, so session loops have a single exit condition.  A
     peer that closes partway through a frame, sets an RSV bit (no
     extension is ever negotiated) or uses a reserved opcode raises
-    :class:`ProtocolError`.
+    :class:`ProtocolError`.  Masked and unmasked frames are both read;
+    a server reads its clients with :func:`read_client_ws_frame`.
     """
+    return await _read_frame(reader, require_mask=False)
+
+
+async def read_client_ws_frame(reader: asyncio.StreamReader) -> tuple[int, bytes]:
+    """:func:`read_ws_frame` for a server reading one of its clients.
+
+    RFC 6455 section 5.1: a client masks every frame it sends, and a
+    server closes the connection on an unmasked one.  An unmasked frame
+    raises :class:`ProtocolError` as soon as its header is read, before
+    any of its payload.
+    """
+    return await _read_frame(reader, require_mask=True)
+
+
+async def _read_frame(
+    reader: asyncio.StreamReader, *, require_mask: bool
+) -> tuple[int, bytes]:
     try:
         head = await reader.readexactly(2)
     except asyncio.IncompleteReadError:
@@ -369,6 +387,8 @@ async def read_ws_frame(reader: asyncio.StreamReader) -> tuple[int, bytes]:
     if not fin or opcode == OP_CONT:
         raise ProtocolError("fragmented WebSocket frames are not supported")
     masked = head[1] & 0x80
+    if require_mask and not masked:
+        raise ProtocolError("unmasked client WebSocket frame")
     length = head[1] & 0x7F
     try:
         if length == 126:
@@ -445,6 +465,7 @@ __all__ = [
     "encode_ws_frame",
     "http_json",
     "http_request",
+    "read_client_ws_frame",
     "read_http_request",
     "read_http_response",
     "read_ws_frame",

@@ -1,11 +1,14 @@
 """Distance metrics and streaming statistics."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.detection import Detector
 from repro.core.distances import (
     RunningStats,
     euclidean_distance,
@@ -14,6 +17,8 @@ from repro.core.distances import (
     mahalanobis_distance,
     mahalanobis_distances,
 )
+from repro.core.model import Metric
+from repro.core.training import TrainingData, train_model
 from repro.errors import SingularCovarianceError, TrainingError
 
 vectors = arrays(
@@ -75,6 +80,65 @@ class TestMahalanobis:
         inv = np.linalg.inv(cov)
         d2 = mahalanobis_distances(data, mean, inv) ** 2
         assert d2.mean() == pytest.approx(4.0, rel=0.05)  # chi^2_4 mean
+
+
+@lru_cache(maxsize=None)
+def _detector(dim: int, metric: Metric) -> Detector:
+    """A three-cluster model over random ``dim``-dimensional edge sets."""
+    rng = np.random.default_rng(dim)
+    sas = np.repeat([0x10, 0x20, 0x30], 3 * dim)
+    vectors = rng.normal(size=(sas.size, dim)) + (sas[:, None] >> 4)
+    model = train_model(
+        TrainingData(vectors, sas),
+        metric=metric,
+        sa_clusters={0x10: "A", 0x20: "B", 0x30: "C"},
+    )
+    return Detector(model, margin=1.0)
+
+
+class TestBatchSizeIndependence:
+    """A row's score does not depend on the batch it is scored in.
+
+    Stream checkpoint/resume equality (an interrupted and resumed run
+    classifies its messages in different batches than an uninterrupted
+    one) and the fleet check that gateway verdicts equal an in-process
+    ``TenantEngine``'s both rely on this property, bit for bit.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dim=st.sampled_from([3, 16, 32, 64]),
+        n=st.integers(9, 70),
+        seed=st.integers(0, 10_000),
+        metric=st.sampled_from([Metric.MAHALANOBIS, Metric.EUCLIDEAN]),
+    )
+    def test_rows_are_bit_identical_alone_in_small_batches_and_in_full(
+        self, dim, n, seed, metric
+    ):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0) + rng.uniform(0, 3)
+        sas = rng.choice([0x10, 0x20, 0x30, 0x99], size=n)
+        cov = np.cov(rng.normal(size=(4 * dim, dim)).T)
+        inv_cov = np.linalg.inv(cov)
+        mean = rng.normal(size=dim)
+        detector = _detector(dim, metric)
+
+        def distances(rows, _sas):
+            return mahalanobis_distances(rows, mean, inv_cov)
+
+        def verdicts(rows, row_sas):
+            batch = detector.classify_batch(rows, row_sas)
+            return np.stack(
+                [batch.min_distance, batch.slack, batch.predicted_cluster], axis=1
+            )
+
+        for score in (distances, verdicts):
+            full = score(points, sas)
+            assert score(np.asfortranarray(points), sas).tobytes() == full.tobytes()
+            for size in (1, 7, 8):
+                for lo in range(n - size + 1):
+                    part = score(points[lo : lo + size], sas[lo : lo + size])
+                    assert part.tobytes() == full[lo : lo + size].tobytes(), (size, lo)
 
 
 class TestInvertCovariance:

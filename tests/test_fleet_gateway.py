@@ -383,6 +383,8 @@ HOSTILE_FRAMES = {
     "rsv-bit": (_rsv_frame(), False, "RSV"),
     "opcode-0x3": (encode_ws_frame(b"hi", opcode=0x3, mask_key=MASK), False, "0x3"),
     "opcode-0xB": (encode_ws_frame(b"hi", opcode=0xB, mask_key=MASK), False, "0xB"),
+    # RFC 6455 section 5.1: every client frame is masked.
+    "unmasked": (encode_ws_frame(b'{"type": "chunk"}'), False, "unmasked"),
 }
 
 

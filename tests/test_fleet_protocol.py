@@ -20,6 +20,7 @@ from repro.fleet.protocol import (
     client_handshake_request,
     encode_ws_close,
     encode_ws_frame,
+    read_client_ws_frame,
     read_http_request,
     read_http_response,
     read_ws_frame,
@@ -58,6 +59,13 @@ def parse_response(data: bytes):
 def parse_frame(data: bytes):
     async def go():
         return await read_ws_frame(fed_reader(data))
+
+    return run(go())
+
+
+def parse_client_frame(data: bytes):
+    async def go():
+        return await read_client_ws_frame(fed_reader(data))
 
     return run(go())
 
@@ -201,6 +209,17 @@ class TestWebSocket:
         opcode, decoded = parse_frame(raw)
         assert opcode == OP_BINARY
         assert decoded == payload
+
+    def test_server_side_reader_requires_masked_frames(self):
+        """A server refuses an unmasked client frame (RFC 6455 section
+        5.1) from its header alone, before reading any payload."""
+        masked = encode_ws_frame(b"chunk", mask_key=b"\x01\x02\x03\x04")
+        assert parse_client_frame(masked) == (OP_TEXT, b"chunk")
+        with pytest.raises(ProtocolError, match="unmasked"):
+            parse_client_frame(encode_ws_frame(b"chunk"))
+        head = bytes([0x81, 127]) + MAX_FRAME_BYTES.to_bytes(8, "big")
+        with pytest.raises(ProtocolError, match="unmasked"):
+            parse_client_frame(head)
 
     def test_control_opcodes_survive(self):
         assert parse_frame(encode_ws_frame(b"hi", opcode=OP_PING)) == (

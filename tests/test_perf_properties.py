@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import tempfile
+from bisect import bisect_left
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core.detection import Detector
 from repro.core.edge_extraction import (
     ExtractionConfig,
+    _extract_columnar_block,
     _extract_edge_set,
     extract_edge_set,
     extract_edge_sets_batch,
@@ -30,7 +32,12 @@ from repro.core.pipeline import PipelineConfig, VProfilePipeline
 from repro.errors import ExtractionError
 from repro.perf import engine as engine_mod
 from repro.perf.cache import CaptureCache
-from repro.perf.engine import capture_and_extract, extract_many_parallel
+from repro.perf.engine import (
+    capture_and_extract,
+    extract_many_parallel,
+    plan_transmissions,
+    render_transmissions,
+)
 
 DURATION_S = 0.6
 
@@ -252,6 +259,88 @@ class TestScalarOracleParity:
             "trace ended", "edge search", "edge window",
         }, kinds
         assert any(not isinstance(o, str) for o in scalar)
+
+    @pytest.fixture(scope="class")
+    def vehicle_a_block(self, veh_a):
+        """Vehicle A rows (20 MS/s, 80 samples per bit) of mixed length.
+
+        Full 5039-sample traces, 5040-sample rows (one extra recessive or
+        dominant sample), rows whose last sample is dominant, every
+        truncation around the edge-set windows and a sparse sweep of
+        truncations over the whole trace, in a fixed shuffled order.  A
+        full-width row that ends dominant puts a polarity change on the
+        next row's first column of the flattened block; truncations
+        shifted right to the full width make the walk reach that column.
+        """
+        seed = 11
+        traces = render_transmissions(
+            veh_a, plan_transmissions(veh_a, 0.03, seed=seed), seed=seed, jobs=1
+        )
+        config = ExtractionConfig.for_trace(traces[0])
+        assert config.bit_width == 80
+        dominant = max(t.counts.max() for t in traces)
+
+        def cut(trace, n):
+            return dataclasses.replace(trace, counts=trace.counts[:n])
+
+        def extends(trace, n):
+            return not isinstance(_oracle(_extract_edge_set, cut(trace, n), config), str)
+
+        rows = list(traces)
+        for trace in traces[:4]:
+            rows.append(dataclasses.replace(
+                trace, counts=np.append(trace.counts, trace.counts[-1])
+            ))
+            rows.append(dataclasses.replace(
+                trace, counts=np.append(trace.counts, dominant)
+            ))
+            ends_dominant = trace.counts.copy()
+            ends_dominant[-1] = dominant
+            rows.append(dataclasses.replace(trace, counts=ends_dominant))
+        for trace in traces[:2]:
+            n = trace.counts.size
+            # The shortest prefix that still yields an edge set ends at
+            # the rising window; the cuts before it fail in both window
+            # searches and both window bounds.
+            shortest = bisect_left(range(n + 1), True, key=lambda k: extends(trace, k))
+            near = range(shortest - 140, shortest + 2)
+            rows += [cut(trace, k) for k in near]
+            rows += [cut(trace, k) for k in range(1, n, 61)]
+            # The same cuts shifted right behind idle bus to the full
+            # 5040-sample width: the walk reaches the row's last column.
+            idle = np.full(5040, trace.counts[0])
+            rows += [
+                dataclasses.replace(
+                    trace, counts=np.concatenate([idle[k:], trace.counts[:k]])
+                )
+                for k in near
+            ]
+        stuck = traces[0].counts.copy()
+        sof = int(np.argmax(stuck >= config.threshold))
+        stuck[sof : sof + 8 * 80] = dominant
+        rows.append(dataclasses.replace(traces[0], counts=stuck))
+        rows.append(dataclasses.replace(
+            traces[0], counts=np.full_like(stuck, stuck.min())
+        ))
+        order = np.random.default_rng(seed).permutation(len(rows))
+        return [rows[i] for i in order], config
+
+    def test_columnar_matches_oracle_at_vehicle_a_shape(self, vehicle_a_block):
+        traces, config = vehicle_a_block
+        lengths = {t.counts.size for t in traces}
+        assert {5039, 5040} <= lengths and min(lengths) < 5039
+        scalar = [_oracle(_extract_edge_set, t, config) for t in traces]
+        vector = [_oracle(extract_edge_set, t, config) for t in traces]
+        block = [_outcome(o) for o in _extract_columnar_block(traces, config)]
+        assert vector == scalar
+        assert block == scalar
+        kinds = {" ".join(o.split()[:2]) for o in scalar if isinstance(o, str)}
+        assert kinds >= {
+            "no start-of-frame", "stuff violation", "trace ended",
+            "edge search", "edge window",
+        }, kinds
+        extracted = {t.counts.size for t, o in zip(traces, scalar) if not isinstance(o, str)}
+        assert {5039, 5040} <= extracted
 
     def test_skip_ledger_matches_oracle(self, damaged_traces):
         traces, config = damaged_traces
