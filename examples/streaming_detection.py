@@ -6,7 +6,7 @@ restarts, and keep its alert sequence consistent across them.  This
 example:
 
 1. trains a pipeline on a clean capture of the two-ECU Sterling twin;
-2. streams fresh traffic through the sharded runtime with in-flight
+2. streams fresh traffic through the SA-sharded runtime with in-flight
    hijack injection, printing the alerts as they come out;
 3. kills the run partway through, then resumes from the checkpoint and
    shows the combined run reproduces the uninterrupted one exactly.

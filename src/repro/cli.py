@@ -74,7 +74,6 @@ from repro.perf.parallel import default_jobs
 from repro.stream import (
     DEFAULT_CHUNK_SAMPLES,
     LiveSource,
-    OverflowPolicy,
     ReplaySource,
     StreamConfig,
     StreamTelemetry,
@@ -303,6 +302,15 @@ def _count_batch_outcomes(batch, predicted: np.ndarray, margin: float) -> None:
 
 def cmd_stream(args: argparse.Namespace) -> int:
     vehicle = _vehicle(args.vehicle)
+    # Validate the runtime knobs before any capture or training runs.
+    config = StreamConfig(
+        n_workers=args.workers,
+        batch_size=args.batch_size,
+        checkpoint_dir=args.checkpoint,
+        checkpoint_every_chunks=args.checkpoint_every,
+        hijack_probability=args.hijack,
+        hijack_seed=args.hijack_seed,
+    )
 
     resume = None
     margin = args.margin
@@ -368,17 +376,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             n_shards=args.workers,
         )
 
-    config = StreamConfig(
-        n_workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        policy=OverflowPolicy(args.policy),
-        batch_size=args.batch_size,
-        checkpoint_dir=args.checkpoint,
-        checkpoint_every_chunks=args.checkpoint_every,
-        hijack_probability=args.hijack,
-        hijack_seed=args.hijack_seed,
-        telemetry=telemetry,
-    )
+    config.telemetry = telemetry
 
     # /metrics is only useful with a live registry; when --metrics-out
     # did not already enable one, serve a run-scoped registry.
@@ -420,8 +418,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
               f"(--max-alerts {args.max_alerts})")
 
     print(f"streamed {report.chunks} chunks / {report.samples} samples "
-          f"({config.n_workers} worker{'s' if config.n_workers != 1 else ''}, "
-          f"policy {OverflowPolicy(config.policy).value})")
+          f"({config.n_workers} SA shard{'s' if config.n_workers != 1 else ''})")
     reasons = ", ".join(f"{k}={v}" for k, v in sorted(report.reasons.items()))
     print(f"  messages={report.messages} anomalies={report.anomalies}"
           + (f" [{reasons}]" if reasons else ""))
@@ -631,13 +628,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_CHUNK_SAMPLES, metavar="N",
                         help="digitizer chunk size in samples")
     stream.add_argument("--workers", type=int, default=2,
-                        help="classification workers (= SA shards)")
-    stream.add_argument("--queue-capacity", type=int, default=256,
-                        help="per-shard queue bound")
-    stream.add_argument("--policy",
-                        choices=[p.value for p in OverflowPolicy],
-                        default=OverflowPolicy.BLOCK.value,
-                        help="queue overflow policy (backpressure vs loss)")
+                        help="SA shards: source address %% N picks the "
+                             "shard a message is classified and "
+                             "flight-recorded in (all on one thread)")
     stream.add_argument("--batch-size", type=int, default=8,
                         help="feature vectors per vectorised detector call")
     stream.add_argument("--margin", type=float, default=None,

@@ -1,7 +1,7 @@
 """Project-wide symbol table and call graph, built from module summaries.
 
 Nodes are fully-qualified function names (``repro.stream.workers.
-ShardedWorkerPool._classify_batch``); edges are best-effort resolved
+ShardClassifier._classify_batch``); edges are best-effort resolved
 call sites.  Resolution handles the shapes this repository actually
 uses:
 

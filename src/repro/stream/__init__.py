@@ -11,11 +11,11 @@ that just ended legitimate?" — against a continuous digitizer stream:
   incremental message segmentation and Algorithm 1 extraction with
   state carried across chunk boundaries, provably equivalent to the
   batch path on the concatenated stream;
-* :mod:`repro.stream.queues` / :mod:`repro.stream.workers` — bounded
-  per-shard queues with explicit backpressure policies feeding
-  SA-sharded classification workers that batch the vectorised detector;
+* :mod:`repro.stream.workers` — SA-sharded classification of each
+  chunk's messages in vectorised detector batches, with Algorithm 4
+  updates, on the ingest thread;
 * :mod:`repro.stream.runtime` — the supervisor: ordering, hijack
-  injection, checkpoint/resume, graceful shutdown, obs metrics;
+  injection, checkpoint/resume, obs metrics;
 * :mod:`repro.stream.telemetry` — longitudinal telemetry riding on the
   runtime: metrics time-series, per-SA profile health, and the alert
   flight recorder (see :mod:`repro.obs`);
@@ -44,7 +44,6 @@ from repro.stream.chunks import (
     SampleChunk,
 )
 from repro.stream.extractor import ExtractorStats, StreamingExtractor, StreamMessage
-from repro.stream.queues import BoundedQueue, OverflowPolicy, QueueClosed
 from repro.stream.runtime import (
     CHUNKS_METRIC,
     EXTRACTION_FAILURES_METRIC,
@@ -59,7 +58,6 @@ from repro.stream.workers import (
     DROPPED_METRIC,
     LATENCY_METRIC,
     QUEUE_DEPTH_METRIC,
-    ShardedWorkerPool,
     StreamVerdict,
     result_from_batch,
 )
@@ -77,9 +75,6 @@ __all__ = [
     "ExtractorStats",
     "StreamingExtractor",
     "StreamMessage",
-    "BoundedQueue",
-    "OverflowPolicy",
-    "QueueClosed",
     "CHUNKS_METRIC",
     "EXTRACTION_FAILURES_METRIC",
     "SAMPLES_METRIC",
@@ -92,7 +87,6 @@ __all__ = [
     "DROPPED_METRIC",
     "LATENCY_METRIC",
     "QUEUE_DEPTH_METRIC",
-    "ShardedWorkerPool",
     "StreamVerdict",
     "result_from_batch",
 ]

@@ -1,21 +1,20 @@
 """The streaming supervisor: chunks in, ordered verdicts and alerts out.
 
 :class:`StreamRuntime` glues the subsystem together around a trained
-:class:`VProfilePipeline`:
+:class:`VProfilePipeline`, on the calling thread:
 
 * the **ingestion stage** pulls chunks from a :class:`ChunkSource` and
   feeds the incremental extractor;
-* extracted messages are sharded by source address onto the
-  :class:`ShardedWorkerPool`'s bounded queues — when a queue fills, the
-  configured overflow policy (block / drop-newest / drop-oldest)
-  decides between backpressure and loss;
-* workers classify in vectorised batches; OK verdicts optionally fold
-  back into the *shared* profile store through the pipeline's Algorithm
-  4 updater, so drift adaptation learned on the stream is visible to
+* the messages each chunk completes are sharded by source address and
+  classified by the :class:`ShardClassifier` in vectorised batches
+  before the next chunk is pulled; OK verdicts optionally fold back
+  into the *shared* profile store through the pipeline's Algorithm 4
+  updater, so drift adaptation learned on the stream is visible to
   every other consumer of the model;
-* the supervisor checkpoints at quiesced chunk boundaries, restores
-  from a checkpoint, reorders verdicts by stream sequence, and reports
-  per-stage metrics through :mod:`repro.obs`.
+* the supervisor checkpoints at chunk boundaries (each one is quiesced
+  by construction), restores from a checkpoint, reorders verdicts by
+  stream sequence, and reports per-stage metrics through
+  :mod:`repro.obs`.
 
 An optional hijack injector rewrites source addresses in flight with a
 seeded probability — the streaming twin of the paper's replay-and-
@@ -24,7 +23,6 @@ rewrite attack methodology, used by the CLI to demonstrate alerts.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,9 +39,8 @@ from repro.obs.registry import MetricsRegistry, get_registry
 from repro.stream.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from repro.stream.chunks import ChunkSource
 from repro.stream.extractor import StreamingExtractor, StreamMessage
-from repro.stream.queues import OverflowPolicy
 from repro.stream.telemetry import StreamTelemetry, TelemetryConfig
-from repro.stream.workers import ShardedWorkerPool, StreamVerdict
+from repro.stream.workers import ShardClassifier, StreamVerdict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.pipeline import VProfilePipeline
@@ -63,9 +60,8 @@ class StreamConfig:
     Attributes
     ----------
     n_workers:
-        Classification workers (= shard count).
-    queue_capacity / policy:
-        Per-shard queue bound and overflow behaviour under load.
+        SA shard count: identity ``SA % n_workers`` picks the shard a
+        message is classified (and flight-recorded) in.
     batch_size:
         Feature vectors classified per vectorised detector call.
     checkpoint_dir:
@@ -84,8 +80,6 @@ class StreamConfig:
     """
 
     n_workers: int = 1
-    queue_capacity: int = 256
-    policy: OverflowPolicy | str = OverflowPolicy.BLOCK
     batch_size: int = 8
     checkpoint_dir: str | Path | None = None
     checkpoint_every_chunks: int = 0
@@ -93,14 +87,31 @@ class StreamConfig:
     hijack_seed: int = 0
     telemetry: TelemetryConfig | StreamTelemetry | None = None
 
+    def __post_init__(self) -> None:
+        if self.n_workers < 1:
+            raise StreamError(f"n_workers must be >= 1, got {self.n_workers}")
+        if self.batch_size < 1:
+            raise StreamError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 <= self.hijack_probability <= 1.0:
+            raise StreamError(
+                "hijack_probability must be in [0, 1], got "
+                f"{self.hijack_probability}"
+            )
+        if self.checkpoint_every_chunks < 0:
+            raise StreamError(
+                "checkpoint_every_chunks must be >= 0, got "
+                f"{self.checkpoint_every_chunks}"
+            )
+
 
 @dataclass
 class StreamReport:
     """What one streaming run saw and decided.
 
     ``verdicts`` is ordered by stream sequence number regardless of
-    which worker classified each message, so two runs over the same
-    source are comparable element by element.
+    which shard classified each message, so two runs over the same
+    source are comparable element by element.  ``dropped`` is always 0:
+    sources are pulled, so no message is ever shed.
     """
 
     chunks: int = 0
@@ -176,7 +187,6 @@ class StreamRuntime:
         events = get_event_log()
         report = StreamReport()
         results: list[StreamVerdict] = []
-        results_lock = threading.Lock()
 
         telemetry: StreamTelemetry | None = None
         if config.telemetry is not None:
@@ -197,14 +207,11 @@ class StreamRuntime:
         def collect(verdict: StreamVerdict) -> None:
             if telemetry is not None:
                 telemetry.on_verdict(verdict)
-            with results_lock:
-                results.append(verdict)
+            results.append(verdict)
 
-        pool = ShardedWorkerPool(
+        classifier = ShardClassifier(
             pipeline.detector,
             config.n_workers,
-            queue_capacity=config.queue_capacity,
-            policy=config.policy,
             batch_size=config.batch_size,
             updater=pipeline.updater,
             on_result=collect,
@@ -213,51 +220,46 @@ class StreamRuntime:
         events.info(
             "stream.started",
             workers=config.n_workers,
-            policy=OverflowPolicy(config.policy).value,
-            queue_capacity=config.queue_capacity,
             batch_size=config.batch_size,
             start_chunk=start_chunk,
             resumed=checkpoint is not None,
         )
 
         t0 = monotonic()
-        try:
-            for chunk in source.chunks(start_chunk):
-                report.chunks += 1
-                report.samples += len(chunk)
-                if registry.enabled:
-                    registry.counter(
-                        CHUNKS_METRIC, help="Chunks ingested by the stream runtime"
-                    ).inc()
-                    registry.counter(
-                        SAMPLES_METRIC, help="Samples ingested by the stream runtime"
-                    ).inc(len(chunk))
-                seq = self._submit_all(
-                    pool, extractor.push(chunk), seq, report
-                )
-                if telemetry is not None:
-                    telemetry.on_chunk()
-                if (
-                    config.checkpoint_dir is not None
-                    and config.checkpoint_every_chunks > 0
-                    and (chunk.seq + 1) % config.checkpoint_every_chunks == 0
-                ):
-                    pool.drain()
-                    self._checkpoint(extractor, chunk.seq + 1, seq)
-                    report.checkpoints += 1
-                    events.info(
-                        "stream.checkpoint",
-                        next_chunk=chunk.seq + 1,
-                        next_seq=seq,
-                        path=str(config.checkpoint_dir),
-                    )
-            seq = self._submit_all(pool, extractor.finish(), seq, report)
-            if self.config.checkpoint_dir is not None and report.chunks:
-                pool.drain()
-                self._checkpoint(extractor, start_chunk + report.chunks, seq)
+        for chunk in source.chunks(start_chunk):
+            ingest_t = monotonic() if registry.enabled else 0.0
+            report.chunks += 1
+            report.samples += len(chunk)
+            if registry.enabled:
+                registry.counter(
+                    CHUNKS_METRIC, help="Chunks ingested by the stream runtime"
+                ).inc()
+                registry.counter(
+                    SAMPLES_METRIC, help="Samples ingested by the stream runtime"
+                ).inc(len(chunk))
+            seq = self._classify_all(
+                classifier, extractor.push(chunk), seq, report, ingest_t
+            )
+            if telemetry is not None:
+                telemetry.on_chunk()
+            if (
+                config.checkpoint_dir is not None
+                and config.checkpoint_every_chunks > 0
+                and (chunk.seq + 1) % config.checkpoint_every_chunks == 0
+            ):
+                self._checkpoint(extractor, chunk.seq + 1, seq)
                 report.checkpoints += 1
-        finally:
-            pool.close()
+                events.info(
+                    "stream.checkpoint",
+                    next_chunk=chunk.seq + 1,
+                    next_seq=seq,
+                    path=str(config.checkpoint_dir),
+                )
+        ingest_t = monotonic() if registry.enabled else 0.0
+        seq = self._classify_all(classifier, extractor.finish(), seq, report, ingest_t)
+        if config.checkpoint_dir is not None and report.chunks:
+            self._checkpoint(extractor, start_chunk + report.chunks, seq)
+            report.checkpoints += 1
         if telemetry is not None:
             report.bundles = telemetry.finish()
         report.wall_s = monotonic() - t0
@@ -265,8 +267,7 @@ class StreamRuntime:
         results.sort(key=lambda v: v.seq)
         report.verdicts = results
         report.messages = len(results)
-        report.dropped = pool.dropped
-        report.updated = pool.updated
+        report.updated = classifier.updated
         report.extraction_failures = extractor.stats.extraction_failures
         if registry.enabled and report.extraction_failures:
             registry.counter(
@@ -288,7 +289,7 @@ class StreamRuntime:
                     reason=reason_name,
                     detail=(
                         f"seq {verdict.seq}: SA "
-                        f"0x{verdict.result.source_address:02X} via worker "
+                        f"0x{verdict.result.source_address:02X} via shard "
                         f"{verdict.worker}"
                     ),
                 )
@@ -310,14 +311,17 @@ class StreamRuntime:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _submit_all(
+    def _classify_all(
         self,
-        pool: ShardedWorkerPool,
+        classifier: ShardClassifier,
         messages: list[StreamMessage],
         seq: int,
         report: StreamReport,
+        ingest_t: float,
     ) -> int:
+        """Inject attacks into one chunk's messages, then classify them."""
         probability = self.config.hijack_probability
+        items: list[tuple[int, StreamMessage]] = []
         for message in messages:
             if probability > 0:
                 # Seed per sequence number, not from a shared stream:
@@ -329,8 +333,10 @@ class StreamRuntime:
                     if rewritten is not None:
                         message = rewritten
                         report.injected_attacks.append(seq)
-            pool.submit(seq, message)
+            items.append((seq, message))
             seq += 1
+        if items:
+            classifier.classify(items, ingest_t)
         return seq
 
     def _hijack(
@@ -379,7 +385,7 @@ class StreamRuntime:
     ) -> None:
         """Fold the run's counters into the shared pipeline stats.
 
-        The worker path bypasses ``VProfilePipeline.process``, so the
+        The shard classifier bypasses ``VProfilePipeline.process``, so the
         shared counters (and their metric twins) are reconciled here —
         one bulk update per run, not one per message.
         """

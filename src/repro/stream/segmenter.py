@@ -91,16 +91,32 @@ class StreamingSegmenter:
         if samples.size == 0:
             return []
 
+        config = self.config
+        assert config is not None
         base = self._total
+        self._total = base + samples.size
+        # Idle fast path: with no burst open and nothing pending, an
+        # all-recessive chunk can only matter as the leading padding of
+        # a future burst — keep its tail, cut nothing.  Integer ADC codes
+        # only: int() makes the peak test a plain Python comparison,
+        # exact for integers (float codes take the full path below).
+        if (
+            self._burst_start is None
+            and not self._pending
+            and samples.size >= self._padding
+            and samples.dtype.kind in "iu"
+            and int(samples.max()) < config.threshold
+        ):
+            self._buffer = samples[samples.size - self._padding :]
+            self._offset = self._total - self._padding
+            return []
+
         if self._buffer.size:
             self._buffer = np.concatenate([self._buffer, samples])
         else:
             self._buffer = samples
             self._offset = base
-        self._total = base + samples.size
 
-        config = self.config
-        assert config is not None
         dominant = np.nonzero(samples >= config.threshold)[0]
         if dominant.size:
             dom = dominant + base

@@ -11,9 +11,8 @@ components into one object the runtime can drive:
   setting ``flight_dir``) that dumps forensics bundles on alert.
 
 The aggregator itself holds no locks: each component is internally
-thread-safe, and the aggregator only ever delegates.  ``on_verdict`` is
-invoked from worker threads; ``on_chunk`` and ``finish`` from the
-supervisor thread.
+thread-safe, and the aggregator only ever delegates.  The runtime
+calls every hook from its ingest thread.
 """
 
 from __future__ import annotations
@@ -117,7 +116,7 @@ class StreamTelemetry:
             self.timeseries.sample()
 
     def on_verdict(self, verdict: StreamVerdict) -> None:
-        """Worker hook: feed one classified message into the monitor."""
+        """Verdict hook: feed one classified message into the monitor."""
         self.health.record_verdict(
             verdict.result.source_address, verdict.result.is_anomaly
         )

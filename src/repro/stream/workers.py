@@ -1,20 +1,24 @@
-"""Sharded classification workers with per-shard bounded queues.
+"""SA-sharded classification of each chunk's messages, on the ingest thread.
 
-Frames are sharded by sender identity (J1939 source address) onto one
-bounded queue per worker, so every message from a given ECU is judged by
-the same worker — per-cluster work stays cache-warm and online updates
-for one cluster never race between workers.  Each worker drains its
-queue in batches and classifies the whole batch with the vectorised
-detector path, which is where the streaming runtime's throughput
-headroom comes from.
+Messages are sharded by sender identity (J1939 source address), so
+every message from a given ECU lands in the same shard — its flight
+recorder ring and its ``worker`` tag stay stable for the whole run.
+After each chunk, :class:`ShardClassifier` classifies every shard's
+messages in vectorised detector batches and folds the OK verdicts into
+the model (Algorithm 4) before the next chunk is ingested, so every
+chunk boundary is quiesced and two runs over one source are identical.
 
-The pool never reorders verdicts within a shard; cross-shard ordering is
-restored by the supervisor (results carry their stream sequence number).
+Classification runs on the thread that ingests: the detector is
+GIL-bound numpy work on tiny batches, and handing it to worker threads
+cost more in GIL hand-off than it saved.  Every ``ChunkSource`` is
+pull-based, so nothing waits for the classifier and nothing is dropped.
+
+Verdicts leave in shard order within a chunk; the supervisor restores
+stream order (results carry their stream sequence number).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,24 +32,22 @@ from repro.core.detection import (
     Verdict,
 )
 from repro.core.online_update import OnlineUpdater
-from repro.errors import StreamError
 from repro.obs.clock import monotonic
 from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import get_registry
 from repro.stream.extractor import StreamMessage
-from repro.stream.queues import BoundedQueue, OverflowPolicy, QueueClosed
 
-#: Per-shard queue depth (set on every put/get when metrics are on).
+#: Messages of the current chunk waiting in a shard (at most one chunk's).
 QUEUE_DEPTH_METRIC = "vprofile_stream_queue_depth"
-#: Messages dropped by queue overflow policies.
+#: Dropped messages; never incremented, since sources are pulled, not pushed.
 DROPPED_METRIC = "vprofile_stream_dropped_total"
-#: Ingest-to-verdict latency of one message through the runtime.
+#: Chunk-arrival-to-verdict latency of one message through the runtime.
 LATENCY_METRIC = "vprofile_stream_latency_seconds"
 
 
 @dataclass(frozen=True)
 class StreamVerdict:
-    """One classified message, tagged with its stream position."""
+    """One classified message, tagged with its stream position and shard."""
 
     seq: int
     message: StreamMessage
@@ -63,9 +65,9 @@ def result_from_batch(
     """Rebuild the single-message :class:`DetectionResult` shape.
 
     Mirrors ``Detector._classify``'s reason precedence so a verdict from
-    any batched consumer (the sharded worker pool here, the fleet
-    gateway's per-tenant engines) is indistinguishable from one produced
-    by ``VProfilePipeline.process``.
+    any batched consumer (the shard classifier here, the fleet gateway's
+    per-tenant engines) is indistinguishable from one produced by
+    ``VProfilePipeline.process``.
     """
     expected = int(detection.expected_cluster[row])
     if expected < 0:
@@ -98,180 +100,96 @@ def result_from_batch(
     )
 
 
-class ShardedWorkerPool:
-    """N classification workers behind N bounded shard queues.
+class ShardClassifier:
+    """Classify messages shard by shard in batches of ``batch_size``.
 
     Parameters
     ----------
     detector:
-        The shared trained detector (read-mostly).
-    n_workers:
-        Worker/shard count; identity ``SA % n_workers`` picks the shard.
-    queue_capacity / policy:
-        Per-shard queue bound and overflow behaviour.
+        The shared trained detector.
+    n_shards:
+        Shard count; identity ``SA % n_shards`` picks the shard.
     batch_size:
         Max feature vectors classified per vectorised detector call.
     updater:
         Optional Algorithm 4 online updater; OK verdicts are folded into
-        the shared model under the pool's update lock.
+        the shared model right after their batch is classified.
     on_result:
-        Callback invoked from worker threads for every verdict.
+        Callback invoked for every verdict, in shard order.
     recorder:
         Optional flight recorder; every verdict is appended to its
-        shard's ring from the worker thread that produced it, so the
-        pre-alert context window never crosses shard locks.
+        shard's ring.
     """
 
     def __init__(
         self,
         detector: Detector,
-        n_workers: int = 1,
+        n_shards: int,
         *,
-        queue_capacity: int = 256,
-        policy: OverflowPolicy | str = OverflowPolicy.BLOCK,
-        batch_size: int = 8,
-        updater: OnlineUpdater | None = None,
-        on_result: Callable[[StreamVerdict], None] | None = None,
+        batch_size: int,
+        updater: OnlineUpdater | None,
+        on_result: Callable[[StreamVerdict], None],
         recorder: FlightRecorder | None = None,
     ):
-        if n_workers < 1:
-            raise StreamError(f"n_workers must be >= 1, got {n_workers}")
-        if batch_size < 1:
-            raise StreamError(f"batch_size must be >= 1, got {batch_size}")
         self.detector = detector
-        self.n_workers = int(n_workers)
+        self.n_shards = int(n_shards)
         self.batch_size = int(batch_size)
         self.updater = updater
         self.on_result = on_result
         self.recorder = recorder
-        self.queues: list[BoundedQueue[tuple[int, StreamMessage, float]]] = [
-            BoundedQueue(queue_capacity, policy, name=f"shard{i}")
-            for i in range(self.n_workers)
-        ]
         self.updated = 0
-        self._update_lock = threading.Lock()
-        self._idle = threading.Condition()
-        self._inflight = [0] * self.n_workers
-        self._failure: BaseException | None = None
         self._registry = get_registry()
-        self._threads = [
-            threading.Thread(
-                target=self._worker, args=(i,), name=f"vprofile-shard{i}", daemon=True
-            )
-            for i in range(self.n_workers)
-        ]
-        for thread in self._threads:
-            thread.start()
 
-    # ------------------------------------------------------------------
-    # Producer side
-    # ------------------------------------------------------------------
-    def shard_of(self, message: StreamMessage) -> int:
-        return message.edge_set.identity % self.n_workers
+    def classify(
+        self, items: list[tuple[int, StreamMessage]], ingest_t: float
+    ) -> None:
+        """Judge ``(seq, message)`` pairs that arrived with one chunk.
 
-    def submit(self, seq: int, message: StreamMessage) -> bool:
-        """Enqueue one message; False when the overflow policy dropped it.
-
-        Blocks under the ``BLOCK`` policy when the target shard is full —
-        that is the backpressure reaching the ingestion stage.
+        ``ingest_t`` is the chunk's arrival time (0 when metrics are
+        off); each verdict's latency is measured from it.
         """
-        if self._failure is not None:
-            raise StreamError("worker pool failed") from self._failure
-        shard = self.shard_of(message)
-        queue = self.queues[shard]
-        ingest_t = monotonic() if self._registry.enabled else 0.0
-        accepted = queue.put((seq, message, ingest_t))
-        if self._registry.enabled:
-            label = str(shard)
-            self._registry.gauge(
-                QUEUE_DEPTH_METRIC,
-                help="Messages waiting in a shard queue",
-                shard=label,
-            ).set(queue.depth)
-            if not accepted:
-                self._registry.counter(
-                    DROPPED_METRIC,
-                    help="Messages dropped by queue overflow policies",
-                    shard=label,
-                ).inc()
-        return accepted
+        shards: list[list[tuple[int, StreamMessage]]] = [
+            [] for _ in range(self.n_shards)
+        ]
+        for item in items:
+            shards[item[1].edge_set.identity % self.n_shards].append(item)
+        registry = self._registry
+        for index, shard in enumerate(shards):
+            if not shard:
+                continue
+            depth = None
+            if registry.enabled:
+                depth = registry.gauge(
+                    QUEUE_DEPTH_METRIC,
+                    help="Messages of the current chunk waiting in a shard",
+                    shard=str(index),
+                )
+                depth.set(len(shard))
+            for lo in range(0, len(shard), self.batch_size):
+                self._classify_batch(index, shard[lo : lo + self.batch_size], ingest_t)
+            if depth is not None:
+                depth.set(0)
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def drain(self) -> None:
-        """Block until every accepted message has been classified."""
-        with self._idle:
-            while any(q.depth for q in self.queues) or any(self._inflight):
-                if self._failure is not None:
-                    raise StreamError("worker pool failed") from self._failure
-                self._idle.wait(0.05)
-        if self._failure is not None:
-            raise StreamError("worker pool failed") from self._failure
-
-    def close(self) -> None:
-        """Signal end-of-stream and join the workers."""
-        for queue in self.queues:
-            queue.close()
-        for thread in self._threads:
-            thread.join()
-        if self._failure is not None:
-            raise StreamError("worker pool failed") from self._failure
-
-    @property
-    def dropped(self) -> int:
-        return sum(q.dropped for q in self.queues)
-
-    # ------------------------------------------------------------------
-    # Worker side
-    # ------------------------------------------------------------------
-    def _worker(self, index: int) -> None:
-        queue = self.queues[index]
-
-        def mark_inflight(n: int) -> None:
-            # Runs under the queue lock: the dequeue and the in-flight
-            # count change atomically from drain()'s point of view.
-            self._inflight[index] = n
-
-        try:
-            while True:
-                try:
-                    batch = queue.get_batch(self.batch_size, on_batch=mark_inflight)
-                except QueueClosed:
-                    return
-                try:
-                    self._classify_batch(index, batch)
-                finally:
-                    self._inflight[index] = 0
-                    with self._idle:
-                        self._idle.notify_all()
-        except BaseException as exc:  # surface, don't die silently
-            self._failure = exc
-            with self._idle:
-                self._idle.notify_all()
-
-    def _classify_batch(self, index: int, batch: list) -> None:
-        vectors = np.stack([item[1].edge_set.vector for item in batch])
+    def _classify_batch(
+        self, index: int, batch: list[tuple[int, StreamMessage]], ingest_t: float
+    ) -> None:
+        vectors = np.stack([message.edge_set.vector for _, message in batch])
         sas = np.array(
-            [item[1].edge_set.source_address for item in batch], dtype=np.int64
+            [message.edge_set.source_address for _, message in batch], dtype=np.int64
         )
         detection = self.detector.classify_batch(vectors, sas)
         registry = self._registry
-        for row, (seq, message, ingest_t) in enumerate(batch):
-            result = self._result_from_batch(detection, row, int(sas[row]))
+        for row, (seq, message) in enumerate(batch):
+            result = result_from_batch(
+                detection, row, int(sas[row]), self.detector.margin
+            )
             if not result.is_anomaly and self.updater is not None:
-                with self._update_lock:
-                    report = self.updater.update([message.edge_set])
-                    # The tally must share the update's critical section:
-                    # a bare `self.updated += n` after the lock is a lost-
-                    # update race between shards (found by VPL301).
-                    folded = sum(report.updated.values())
-                    if folded:
-                        self.updated += folded
+                report = self.updater.update([message.edge_set])
+                self.updated += sum(report.updated.values())
             if registry.enabled and ingest_t:
                 registry.histogram(
                     LATENCY_METRIC,
-                    help="Ingest-to-verdict latency through the stream runtime",
+                    help="Chunk-arrival-to-verdict latency through the stream runtime",
                 ).observe(monotonic() - ingest_t)
             if self.recorder is not None:
                 self.recorder.record(
@@ -282,14 +200,6 @@ class ShardedWorkerPool:
                     message.edge_set.vector,
                     result,
                 )
-            if self.on_result is not None:
-                self.on_result(
-                    StreamVerdict(
-                        seq=seq, message=message, result=result, worker=index
-                    )
-                )
-
-    def _result_from_batch(
-        self, detection: BatchDetection, row: int, sa: int
-    ) -> DetectionResult:
-        return result_from_batch(detection, row, sa, self.detector.margin)
+            self.on_result(
+                StreamVerdict(seq=seq, message=message, result=result, worker=index)
+            )

@@ -90,6 +90,28 @@ class TestStreamCommand:
         ]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--workers", "0"),
+            ("--batch-size", "0"),
+            ("--hijack", "20"),
+            ("--hijack", "-0.5"),
+            ("--checkpoint-every", "-3"),
+        ],
+    )
+    def test_bad_runtime_value_exits_2_before_training(
+        self, flag, value, monkeypatch, capsys
+    ):
+        def no_capture(*args, **kwargs):
+            raise AssertionError("the CLI captured before validating")
+
+        monkeypatch.setattr("repro.cli.capture_session", no_capture)
+        monkeypatch.setattr("repro.cli.LiveSource", no_capture)
+        assert main(["stream", "--vehicle", "sterling", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be" in err
+
 
 class TestDashPaths:
     def test_capture_to_stdout(self, capsysbinary):

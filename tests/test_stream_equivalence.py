@@ -17,12 +17,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.acquisition.segmentation import assemble_stream, segment_capture
+from repro.acquisition.adc import AdcConfig
+from repro.acquisition.segmentation import (
+    SegmentationConfig,
+    assemble_stream,
+    segment_capture,
+)
 from repro.acquisition.trace import VoltageTrace
 from repro.core.edge_extraction import extract_many
 from repro.core.model import VProfileModel
 from repro.fleet import CaptureParams, TenantEngine
-from repro.stream import ReplaySource, SampleChunk, StreamingExtractor
+from repro.stream import (
+    ReplaySource,
+    SampleChunk,
+    StreamingExtractor,
+    StreamingSegmenter,
+)
 
 
 @pytest.fixture(scope="module")
@@ -213,4 +223,118 @@ def test_state_roundtrip_at_every_boundary(short_stream):
             extractor = restored
         messages.extend(extractor.push(sample_chunk))
     messages.extend(extractor.finish())
+    _assert_equivalent(messages, reference)
+
+
+# ----------------------------------------------------------------------
+# The segmenter's idle-chunk fast path: an all-recessive chunk with no
+# burst open and nothing pending keeps only its trailing padding.  Every
+# case below must stay byte-identical to the batch cut.
+# ----------------------------------------------------------------------
+def _padding_samples(stream, config=None):
+    padding_bits = (config or SegmentationConfig(threshold=0.0)).padding_bits
+    return int(round(padding_bits * stream.sample_rate / stream.bitrate))
+
+
+def _takes_fast_path(segmenter, counts):
+    """Whether ``segmenter.push`` will skip the cut work for ``counts``."""
+    return (
+        segmenter.config is not None
+        and segmenter._burst_start is None
+        and not segmenter._pending
+        and len(counts) >= segmenter._padding
+        and counts.max() < segmenter.config.threshold
+    )
+
+
+def _segment_chunked(stream, chunk_samples, config=None):
+    """Segmenter traces for ``stream`` re-chunked at ``chunk_samples``."""
+    segmenter = StreamingSegmenter(config, metadata=dict(stream.metadata))
+    traces = []
+    for chunk in ReplaySource(stream, chunk_samples).chunks():
+        traces.extend(segmenter.push(chunk))
+    return traces + segmenter.finish()
+
+
+def _assert_same_cuts(traces, expected):
+    """Sample-for-sample equality with the batch segmenter's traces."""
+    assert len(traces) == len(expected) > 0
+    for got, want in zip(traces, expected):
+        np.testing.assert_array_equal(got.counts, want.counts)
+        assert got.start_s == want.start_s
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_chunks_around_the_padding_window_match_batch(short_stream, delta):
+    """Chunks shorter than the padding window take the full cut path;
+    chunks at and above it may take the fast path."""
+    chunk_samples = _padding_samples(short_stream) + delta
+    _assert_same_cuts(
+        _segment_chunked(short_stream, chunk_samples), segment_capture(short_stream)
+    )
+
+
+def test_float_codes_take_the_full_path(short_stream):
+    """The fast path's peak test truncates to int, so only integer codes
+    may take it.  Here every dominant sample lies between the threshold
+    and the next integer: float codes must still cut like the batch path."""
+    threshold = AdcConfig(resolution_bits=short_stream.resolution_bits).volts_to_counts(
+        1.0
+    )
+    scaled = VoltageTrace(
+        counts=10.5 + (short_stream.counts - threshold) / (4 * threshold),
+        sample_rate=short_stream.sample_rate,
+        resolution_bits=short_stream.resolution_bits,
+        bitrate=short_stream.bitrate,
+        start_s=short_stream.start_s,
+    )
+    assert 10.5 <= scaled.counts.max() < 11.0
+    config = SegmentationConfig(threshold=10.5)
+    _assert_same_cuts(
+        _segment_chunked(scaled, 4096, config), segment_capture(scaled, config)
+    )
+
+
+def test_idle_chunk_while_a_burst_awaits_padding(full_stream):
+    """With padding longer than the idle window a closed burst waits for
+    its trailing padding; an idle chunk arriving then must not drop the
+    burst's samples."""
+    config = SegmentationConfig(
+        threshold=AdcConfig(
+            resolution_bits=full_stream.resolution_bits
+        ).volts_to_counts(1.0),
+        padding_bits=20.0,
+    )
+    chunk_samples = int(round(25 * full_stream.sample_rate / full_stream.bitrate))
+    segmenter = StreamingSegmenter(config, metadata=dict(full_stream.metadata))
+    traces = []
+    idle_while_pending = 0
+    for chunk in ReplaySource(full_stream, chunk_samples).chunks():
+        if segmenter._pending and chunk.counts.max() < config.threshold:
+            idle_while_pending += 1
+        traces.extend(segmenter.push(chunk))
+    traces.extend(segmenter.finish())
+    assert idle_while_pending > 0, "the stream never exercised the case"
+    _assert_same_cuts(traces, segment_capture(full_stream, config))
+
+
+def test_checkpoint_right_after_a_fast_path_chunk(short_stream):
+    """Serialising the extractor right after an idle fast-path chunk,
+    then resuming from the snapshot, is invisible in the output."""
+    reference = _batch_reference(short_stream)
+    extractor = StreamingExtractor(metadata=dict(short_stream.metadata))
+    messages = []
+    resumed_after_fast_path = 0
+    for chunk in ReplaySource(short_stream, 4096).chunks():
+        fast = _takes_fast_path(extractor.segmenter, chunk.counts)
+        messages.extend(extractor.push(chunk))
+        if fast:
+            restored = StreamingExtractor(
+                extractor.extraction, metadata=dict(short_stream.metadata)
+            )
+            restored.load_state(extractor.state_dict())
+            extractor = restored
+            resumed_after_fast_path += 1
+    messages.extend(extractor.finish())
+    assert resumed_after_fast_path > 0
     _assert_equivalent(messages, reference)

@@ -1,8 +1,9 @@
-"""The streaming supervisor: verdict parity, workers, checkpoint/resume."""
+"""The streaming supervisor: verdict parity, shards, checkpoint/resume."""
 
 from __future__ import annotations
 
 import itertools
+import threading
 
 import pytest
 
@@ -15,7 +16,6 @@ from repro.stream import (
     CHUNKS_METRIC,
     LATENCY_METRIC,
     QUEUE_DEPTH_METRIC,
-    OverflowPolicy,
     ReplaySource,
     StreamConfig,
     StreamRuntime,
@@ -91,22 +91,82 @@ class TestHijackInjection:
 
 
 class TestBackpressure:
-    def test_drop_newest_loses_messages(self, stream_pipeline, stream):
-        config = StreamConfig(
-            n_workers=1,
-            queue_capacity=1,
-            policy=OverflowPolicy.DROP_NEWEST,
-            batch_size=1,
-        )
-        report = stream_pipeline().stream(ReplaySource(stream, len(stream)), config)
-        clean = stream_pipeline().stream(ReplaySource(stream, len(stream)))
-        assert report.dropped > 0
-        assert report.messages == clean.messages - report.dropped
-
     def test_block_policy_is_lossless(self, stream_pipeline, stream):
-        config = StreamConfig(n_workers=1, queue_capacity=1, batch_size=1)
-        report = stream_pipeline().stream(ReplaySource(stream, len(stream)), config)
+        """Sources are pulled, so the smallest batch over the largest
+        chunk still judges every message the batch path extracts."""
+        pipeline = stream_pipeline()
+        config = StreamConfig(n_workers=1, batch_size=1)
+        report = pipeline.stream(ReplaySource(stream, len(stream)), config)
         assert report.dropped == 0
+        expected = extract_many(
+            segment_capture(stream), pipeline.extraction, skip_failures=True
+        )
+        assert report.messages == len(expected) > 0
+
+
+def _model_bytes(model):
+    """Every running statistic of a model, as raw bytes."""
+    parts = []
+    for cluster in model.clusters:
+        parts.append((cluster.count, cluster.max_distance, cluster.mean.tobytes()))
+        for matrix in (cluster.covariance, cluster.inv_covariance):
+            parts.append(None if matrix is None else matrix.tobytes())
+    return parts
+
+
+class TestSingleThreadDesign:
+    def test_stream_starts_no_thread(self, stream_pipeline, stream, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        config = StreamConfig(n_workers=4, hijack_probability=0.3, hijack_seed=5)
+        report = stream_pipeline(online_update=True).stream(
+            ReplaySource(stream, 4096), config
+        )
+        assert report.messages > 0
+        assert started == []
+
+    def test_online_update_runs_are_identical(self, stream_pipeline, stream):
+        config = StreamConfig(n_workers=2, hijack_probability=0.3, hijack_seed=5)
+        runs = []
+        for _ in range(2):
+            pipeline = stream_pipeline(online_update=True)
+            report = pipeline.stream(ReplaySource(stream, 4096), config)
+            runs.append((report, _model_bytes(pipeline.model)))
+        (first, first_model), (second, second_model) = runs
+        assert first.updated > 0 and first.injected_attacks
+        assert [(v.seq, v.worker, v.result) for v in first.verdicts] == [
+            (v.seq, v.worker, v.result) for v in second.verdicts
+        ]
+        assert first.updated == second.updated
+        assert first_model == second_model
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_workers", 0),
+            ("batch_size", 0),
+            ("hijack_probability", -0.5),
+            ("hijack_probability", 1.5),
+            ("checkpoint_every_chunks", -3),
+        ],
+    )
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(StreamError, match=field):
+            StreamConfig(**{field: value})
+
+    @pytest.mark.parametrize("probability", [0.0, 1.0])
+    def test_accepts_probability_bounds(self, probability):
+        assert StreamConfig(hijack_probability=probability).hijack_probability == (
+            probability
+        )
 
 
 class TestCheckpointResume:
