@@ -115,7 +115,7 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for capture/extraction (default: $REPRO_JOBS; "
+        help="worker processes for capture (default: $REPRO_JOBS; "
              "leave both unset for the legacy serial path)",
     )
 
@@ -200,20 +200,10 @@ def _traces_for(args: argparse.Namespace):
     return vehicle, session.traces
 
 
-def _extract_for(args: argparse.Namespace, traces, extraction):
-    """Edge-set extraction honouring the effective ``--jobs`` value."""
-    jobs = _effective_jobs(args)
-    if jobs is not None:
-        from repro.perf.engine import extract_many_parallel
-
-        return extract_many_parallel(traces, extraction, jobs=jobs)
-    return extract_many(traces, extraction)
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     vehicle, traces = _traces_for(args)
     extraction = ExtractionConfig.for_trace(traces[0])
-    edge_sets = _extract_for(args, traces, extraction)
+    edge_sets = extract_many(traces, extraction)
     model = train_model(
         TrainingData.from_edge_sets(edge_sets),
         metric=Metric(args.metric),
@@ -235,7 +225,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     model = VProfileModel.load(args.model)
     extraction = ExtractionConfig.for_trace(traces[0])
     with obs.span("cli.detect", vehicle=vehicle.name):
-        edge_sets = _extract_for(args, traces, extraction)
+        edge_sets = extract_many(traces, extraction)
 
         rng = np.random.default_rng(args.seed)
         if args.hijack > 0:
@@ -515,36 +505,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import main as lint_main
-
-    argv = list(args.paths)
-    argv += ["--root", args.root]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.lint_ignore:
-        argv += ["--ignore", args.lint_ignore]
-    if args.lint_format != "text":
-        argv += ["--format", args.lint_format]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.stats:
-        argv.append("--stats")
-    if args.baseline:
-        argv.append("--baseline")
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.update_schema_lock:
-        argv.append("--update-schema-lock")
-    if args.quiet:
-        argv.append("--quiet")
-    return lint_main(argv)
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     path = Path(args.path)
     if not path.exists():
@@ -716,40 +676,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_fleet_parser(commands)
 
-    lint = commands.add_parser(
+    # No flags of its own: main() forwards everything after ``lint`` to
+    # repro.lint.cli, so ``repro lint`` and ``python -m repro.lint``
+    # share one parser.
+    commands.add_parser(
         "lint",
+        add_help=False,
         help="check determinism / seed / concurrency / observability "
              "invariants (VPLxxx rules)",
     )
-    lint.add_argument("paths", nargs="*", default=["src", "tests"],
-                      help="files or directories (default: src tests)")
-    lint.add_argument("--root", default=".",
-                      help="repo root for config lookup (default: cwd)")
-    lint.add_argument("--select", metavar="CODES",
-                      help="comma-separated codes/prefixes to run")
-    lint.add_argument("--ignore", dest="lint_ignore", metavar="CODES",
-                      help="comma-separated codes/prefixes to skip")
-    lint.add_argument("--format", dest="lint_format",
-                      choices=("text", "sarif"), default="text",
-                      help="report format (sarif: SARIF 2.1.0 on stdout)")
-    lint.add_argument("--jobs", type=int, metavar="N", default=None,
-                      help="analyze modules on N threads "
-                           "(default: $REPRO_LINT_JOBS or 1)")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="skip the incremental analysis cache")
-    lint.add_argument("--stats", action="store_true",
-                      help="print analyzed/restored/parse counters")
-    lint.add_argument("--baseline", action="store_true",
-                      help="waive findings recorded in the baseline file")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="re-record the baseline from current findings")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print every registered rule and exit")
-    lint.add_argument("--update-schema-lock", action="store_true",
-                      help="re-record the capture-cache schema fingerprint")
-    lint.add_argument("-q", "--quiet", action="store_true",
-                      help="no summary line on a clean run")
-    lint.set_defaults(handler=cmd_lint)
 
     return parser
 
@@ -762,7 +697,13 @@ def main(argv: list[str] | None = None) -> int:
     conventions for unknown commands/flags.
     """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from repro.lint.cli import main as lint_main
+
+        return lint_main(extra)
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
 
     registry = None
     previous_registry = previous_log = None

@@ -62,10 +62,6 @@ class PipelineConfig:
         Upper bound ``M`` on per-cluster counts for the online updater.
     shrinkage:
         Covariance shrinkage for training (0 matches the paper).
-    jobs:
-        Worker processes for training-time edge-set extraction (``None``
-        keeps it serial).  Extraction is deterministic, so the trained
-        model is identical for every value.
     """
 
     metric: Metric | str = Metric.MAHALANOBIS
@@ -74,7 +70,6 @@ class PipelineConfig:
     online_update: bool = False
     retrain_bound: int | None = None
     shrinkage: float = 0.0
-    jobs: int | None = None
 
 
 @dataclass
@@ -139,14 +134,7 @@ class VProfilePipeline:
             raise DetectionError("cannot train on an empty capture")
         with span("pipeline.train") as sp:
             self.extraction = extraction or ExtractionConfig.for_trace(traces[0])
-            if self.config.jobs is not None:
-                from repro.perf.engine import extract_many_parallel
-
-                edge_sets = extract_many_parallel(
-                    traces, self.extraction, jobs=self.config.jobs
-                )
-            else:
-                edge_sets = extract_many(traces, self.extraction)
+            edge_sets = extract_many(traces, self.extraction)
             self.model = train_model(
                 TrainingData.from_edge_sets(edge_sets),
                 metric=self.config.metric,

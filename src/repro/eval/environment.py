@@ -88,10 +88,6 @@ def _extract_at(
     )
     if extraction is None:
         extraction = ExtractionConfig.for_trace(session.traces[0])
-    if jobs is not None:
-        from repro.perf.engine import extract_many_parallel
-
-        return extract_many_parallel(session.traces, extraction, jobs=jobs), extraction
     return extract_many(session.traces, extraction), extraction
 
 

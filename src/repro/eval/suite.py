@@ -112,26 +112,11 @@ class SuiteInputs:
         train_fraction: float = 0.5,
         seed: int = 0,
         extraction: ExtractionConfig | None = None,
-        jobs: int | None = None,
     ) -> "SuiteInputs":
-        """Split one capture into train/test and extract edge sets.
-
-        ``jobs`` fans extraction out over worker processes via
-        :func:`repro.perf.engine.extract_many_parallel`; extraction is
-        deterministic, so the edge sets are identical either way.
-        """
+        """Split one capture into train/test and extract edge sets."""
         train_traces, test_traces = session.split(train_fraction, seed=seed)
         if extraction is None:
             extraction = ExtractionConfig.for_trace(session.traces[0])
-        if jobs is not None:
-            from repro.perf.engine import extract_many_parallel
-
-            return cls(
-                vehicle=session.vehicle,
-                extraction=extraction,
-                train=extract_many_parallel(train_traces, extraction, jobs=jobs),
-                test=extract_many_parallel(test_traces, extraction, jobs=jobs),
-            )
         return cls(
             vehicle=session.vehicle,
             extraction=extraction,
@@ -153,12 +138,11 @@ class SuiteInputs:
         """Record a fresh session and split it.
 
         ``jobs``/``cache`` opt the capture into the :mod:`repro.perf`
-        engine (see :func:`repro.vehicles.dataset.capture_session`).
+        engine (see :func:`repro.vehicles.dataset.capture_session`);
+        extraction always runs in this process.
         """
         session = capture_session(vehicle, duration_s, seed=seed, jobs=jobs, cache=cache)
-        return cls.from_session(
-            session, train_fraction=train_fraction, seed=seed, jobs=jobs
-        )
+        return cls.from_session(session, train_fraction=train_fraction, seed=seed)
 
 
 def _evaluate(

@@ -10,7 +10,6 @@ the run; waived findings still surface (a summary line in text mode, a
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import IO, Optional, Sequence
@@ -24,9 +23,6 @@ from repro.lint.runner import run_lint
 from repro.lint.sarif import render_sarif
 
 DEFAULT_PATHS = ("src", "tests")
-
-#: Environment override for ``--jobs`` (CI sets this fleet-wide).
-JOBS_ENV = "REPRO_LINT_JOBS"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,14 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "sarif"),
         default="text",
         help="report format (sarif emits a SARIF 2.1.0 log on stdout)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        default=None,
-        help="analyze modules on N threads (default: $"
-        f"{JOBS_ENV} or 1); the shared parse pass makes this safe",
     )
     parser.add_argument(
         "--no-cache",
@@ -116,18 +104,6 @@ def _codes(raw: Optional[str]) -> tuple[str, ...]:
     return tuple(code.strip().upper() for code in raw.split(",") if code.strip())
 
 
-def _jobs(args: argparse.Namespace) -> Optional[int]:
-    if args.jobs is not None:
-        return args.jobs
-    raw = os.environ.get(JOBS_ENV, "").strip()
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            return None
-    return None
-
-
 def main(argv: Optional[Sequence[str]] = None, *,
          stdout: Optional[IO[str]] = None,
          stderr: Optional[IO[str]] = None) -> int:
@@ -161,7 +137,6 @@ def main(argv: Optional[Sequence[str]] = None, *,
             args.paths,
             config,
             root=root,
-            jobs=_jobs(args),
             use_cache=not args.no_cache,
         )
     except FileNotFoundError as exc:
@@ -229,4 +204,4 @@ def main(argv: Optional[Sequence[str]] = None, *,
     return 0
 
 
-__all__ = ["DEFAULT_PATHS", "JOBS_ENV", "build_parser", "main"]
+__all__ = ["DEFAULT_PATHS", "build_parser", "main"]

@@ -34,7 +34,6 @@ from repro.perf.cache import (
 from repro.perf.engine import (
     capture_and_extract,
     capture_session_engine,
-    extract_many_parallel,
     render_transmissions,
 )
 from repro.perf.parallel import (
@@ -53,7 +52,6 @@ __all__ = [
     "stable_digest",
     "capture_session_engine",
     "capture_and_extract",
-    "extract_many_parallel",
     "render_transmissions",
     "parallel_map",
     "resolve_jobs",

@@ -11,8 +11,6 @@ into the library's dataset workflow:
 * :func:`capture_session_engine` — the engine-backed equivalent of
   :func:`repro.vehicles.dataset.capture_session`, with optional
   content-addressed caching;
-* :func:`extract_many_parallel` — order-preserving parallel
-  :func:`~repro.core.edge_extraction.extract_many`;
 * :func:`capture_and_extract` — fused capture + extraction in a single
   worker pass (one IPC round per chunk instead of two).
 
@@ -435,53 +433,6 @@ def capture_session_engine(
     return CaptureSession(vehicle=vehicle, traces=traces, environment=env)
 
 
-def _extract_chunk(
-    payload: tuple[tuple[VoltageTrace, ...], ExtractionConfig | None, bool, int],
-) -> tuple[list[ExtractedEdgeSet], list[tuple[int, str]]]:
-    traces, config, skip_failures, lo = payload
-    return extract_many_indexed(
-        list(traces), config, skip_failures=skip_failures, index_base=lo
-    )
-
-
-def extract_many_parallel(
-    traces: Sequence[VoltageTrace],
-    config: ExtractionConfig | None = None,
-    *,
-    jobs: int | None = None,
-    skip_failures: bool = False,
-) -> list[ExtractedEdgeSet]:
-    """Order-preserving parallel edge-set extraction.
-
-    Extraction is deterministic, so chunked fan-out plus in-order
-    reassembly returns exactly what serial
-    :func:`~repro.core.edge_extraction.extract_many` would — including
-    the failing message's run-global index in any raised
-    :class:`~repro.errors.ExtractionError` and the skip count folded
-    into ``vprofile_extraction_skipped_total``.
-    """
-    traces = list(traces)
-    if not traces:
-        return []
-    if config is None:
-        config = ExtractionConfig.for_trace(traces[0])
-    n_workers = _effective_workers(resolve_jobs(jobs))
-    if n_workers == 1:
-        return extract_many(traces, config, skip_failures=skip_failures)
-    payloads = [
-        (tuple(traces[lo:hi]), config, skip_failures, lo)
-        for lo, hi in chunk_slices(len(traces), n_workers)
-    ]
-    chunked = parallel_map(_extract_chunk, payloads, jobs=n_workers, chunk_size=1)
-    results = [edge for chunk, _ in chunked for edge in chunk]
-    n_skipped = sum(len(ledger) for _, ledger in chunked)
-    if n_skipped:
-        get_registry().counter(_SKIPPED_METRIC, help=_SKIPPED_HELP).inc(
-            n_skipped
-        )
-    return results
-
-
 def capture_and_extract(
     vehicle: VehicleConfig,
     duration_s: float,
@@ -498,7 +449,8 @@ def capture_and_extract(
 
     Each worker chunk renders *and* extracts before returning, halving
     the IPC rounds of capture-then-extract.  On a cache hit the stored
-    traces are extracted (extraction is cheap relative to synthesis).
+    traces are extracted in this process: extraction is cheap relative to
+    synthesis, and shipping the traces to workers costs more than it saves.
     """
     if cache is not None:
         key = capture_cache_key(
@@ -513,8 +465,8 @@ def capture_and_extract(
             session = CaptureSession(
                 vehicle=vehicle, traces=cached, environment=env
             )
-            edges = extract_many_parallel(
-                cached, extraction, jobs=jobs, skip_failures=skip_failures
+            edges = extract_many(
+                cached, extraction, skip_failures=skip_failures
             )
             return session, edges
     transmissions = plan_transmissions(vehicle, duration_s, seed=seed)
@@ -541,6 +493,5 @@ __all__ = [
     "plan_transmissions",
     "render_transmissions",
     "capture_session_engine",
-    "extract_many_parallel",
     "capture_and_extract",
 ]

@@ -115,28 +115,18 @@ def infer_vehicle(
     name: str = "InferredVehicle",
     *,
     cluster_distance_threshold: float | None = None,
-    jobs: int | None = None,
 ) -> VehicleConfig:
     """Reconstruct a synthetic vehicle from a capture.
 
     The traces need frame metadata (id + payload), which any CAN
     controller provides alongside the analog tap.  Ground-truth sender
     labels are *not* used — ECU grouping comes from voltage clustering.
-    ``jobs`` parallelises the edge-set extraction step (deterministic,
-    identical output).
     """
     if not traces:
         raise DatasetError("cannot infer a vehicle from an empty capture")
     reference = traces[0]
     extraction = ExtractionConfig.for_trace(reference)
-    if jobs is not None:
-        from repro.perf.engine import extract_many_parallel
-
-        edge_sets = extract_many_parallel(
-            traces, extraction, jobs=jobs, skip_failures=True
-        )
-    else:
-        edge_sets = extract_many(traces, extraction, skip_failures=True)
+    edge_sets = extract_many(traces, extraction, skip_failures=True)
     if not edge_sets:
         raise DatasetError("no edge sets could be extracted from the capture")
 

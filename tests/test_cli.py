@@ -1,10 +1,14 @@
 """Command-line interface workflows."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.lint.cli import main as lint_main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestInfo:
@@ -304,3 +308,34 @@ class TestFleet:
         assert report["tenants"] == 1
         assert report["chunks"] > 0
         assert report["rehydration"] is None
+
+
+class TestLint:
+    @staticmethod
+    def _run(entry, argv, capsys):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:  # --help exits through argparse
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["--list-rules"],
+        ["--select", "VPL1", "src"],
+    ])
+    def test_subcommand_shares_the_lint_parser(self, argv, capsys, monkeypatch):
+        """``repro lint ...`` forwards its arguments unchanged, so it and
+        ``python -m repro.lint ...`` print the same thing."""
+        monkeypatch.chdir(REPO_ROOT)
+        via_repro = self._run(main, ["lint", *argv], capsys)
+        via_lint = self._run(lint_main, argv, capsys)
+        assert via_repro == via_lint
+        assert via_repro[0] == 0 and via_repro[1]
+
+    def test_other_subcommands_still_reject_unknown_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["info", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err

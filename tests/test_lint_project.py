@@ -4,8 +4,7 @@ Covers the interprocedural rule family (VPL210/310/311/320) over
 multi-module fixtures, the parse-once contract of the shared
 :class:`~repro.lint.project.Project` pass, the incremental analysis
 cache (warm runs parse nothing and emit byte-identical diagnostics),
-the SARIF 2.1.0 serialisation, the baseline workflow, and the
-``--jobs`` parallel analysis path.
+the SARIF 2.1.0 serialisation and the baseline workflow.
 """
 
 import json
@@ -840,18 +839,6 @@ def test_cached_project_verdicts_follow_other_files(tmp_path):
     second = run_lint(["src"], config, root=tmp_path, use_cache=True)
     assert second.restored == ["src/repro/render.py"]
     assert [d.code for d in second.diagnostics] == ["VPL210"]
-
-
-def test_jobs_parallel_analysis_is_deterministic(tmp_path):
-    files = {
-        f"src/m{i}.py": DIRTY_MODULE + f"X{i} = {i}\n" for i in range(12)
-    }
-    _write_tree(tmp_path, files)
-    config = LintConfig()
-    serial = run_lint(["src"], config, root=tmp_path)
-    parallel = run_lint(["src"], config, root=tmp_path, jobs=4)
-    assert parallel.diagnostics == serial.diagnostics
-    assert parallel.parse_count == len(files)
 
 
 # ----------------------------------------------------------------------

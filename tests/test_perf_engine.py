@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
-import repro.obs as obs
 from repro.core.edge_extraction import ExtractionConfig, extract_many
 from repro.errors import DatasetError, PerfError
+from repro.perf import engine as engine_mod
 from repro.perf.engine import (
     capture_and_extract,
     capture_session_engine,
-    extract_many_parallel,
     plan_transmissions,
     render_transmissions,
 )
@@ -147,28 +147,28 @@ class TestEngineEquivalence:
         _assert_edges_equal(edges, expected)
 
 
-class TestExtractManyParallel:
-    def test_matches_serial(self, stream_train_session):
-        traces = stream_train_session.traces[:40]
-        config = ExtractionConfig.for_trace(traces[0])
-        serial = extract_many(traces, config)
-        fanned = extract_many_parallel(traces, config, jobs=2)
-        _assert_edges_equal(serial, fanned)
+class TestWorkerClamp:
+    def test_jobs_beyond_usable_cpus_run_the_same_tasks(self, stream_vehicle):
+        """On a 2-CPU host, jobs=4 is clamped before anything reads it:
+        the engine hands the pool the same slices as jobs=2."""
+        transmissions = plan_transmissions(stream_vehicle, 0.5, seed=7)
+        calls = []
 
-    def test_empty_input(self):
-        assert extract_many_parallel([], jobs=2) == []
+        def record(fn, tasks, *, jobs, chunk_size):
+            calls.append((tasks, jobs, chunk_size))
+            return [fn(task) for task in tasks]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_skip_counting(self, stream_train_session, jobs):
-        traces = list(stream_train_session.traces[:10])
-        bad = dataclasses.replace(traces[3], counts=traces[3].counts[:8])
-        traces[3] = bad
-        traces[7] = bad
-        registry = obs.MetricsRegistry()
-        with obs.use_registry(registry):
-            edges = extract_many_parallel(
-                traces, jobs=jobs, skip_failures=True
-            )
-        assert len(edges) == 8
-        skipped = registry.get("vprofile_extraction_skipped_total")
-        assert skipped is not None and skipped.value == 2
+        with mock.patch.object(engine_mod, "_usable_cpus", return_value=2), \
+                mock.patch.object(engine_mod, "parallel_map", record):
+            for jobs in (2, 4):
+                render_transmissions(stream_vehicle, transmissions, seed=7, jobs=jobs)
+        (tasks_2, jobs_2, size_2), (tasks_4, jobs_4, size_4) = calls
+        assert (jobs_2, size_2) == (jobs_4, size_4) == (2, 1)
+        assert len(tasks_2) == len(tasks_4) == 2
+        for left, right in zip(tasks_2, tasks_4):
+            for field in dataclasses.fields(left):
+                a, b = getattr(left, field.name), getattr(right, field.name)
+                if isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b), field.name
+                else:
+                    assert a == b, field.name

@@ -34,7 +34,6 @@ from repro.perf import engine as engine_mod
 from repro.perf.cache import CaptureCache
 from repro.perf.engine import (
     capture_and_extract,
-    extract_many_parallel,
     plan_transmissions,
     render_transmissions,
 )
@@ -158,7 +157,7 @@ class TestEngineProperties:
 
 
 class TestExtractionParity:
-    """Serial and parallel extraction agree on failures, not just bytes."""
+    """Chunked extraction agrees with one pass on failures, not just bytes."""
 
     @pytest.fixture()
     def corrupted_traces(self, stream_train_session):
@@ -168,39 +167,47 @@ class TestExtractionParity:
         return traces
 
     def test_error_context_matches_serial(self, corrupted_traces):
-        """Workers must report the run-global message index and sample
-        offset, exactly as the serial walker would."""
+        """A chunk extracted with ``index_base`` reports the run-global
+        message index and sample offset, exactly as one pass would."""
         config = ExtractionConfig.for_trace(corrupted_traces[0])
         with pytest.raises(ExtractionError) as serial_exc:
             extract_many(corrupted_traces, config)
-        with mock.patch.object(engine_mod, "_usable_cpus", return_value=4):
-            with pytest.raises(ExtractionError) as parallel_exc:
-                extract_many_parallel(corrupted_traces, config, jobs=3)
-        assert str(parallel_exc.value) == str(serial_exc.value)
-        assert "message 13" in str(parallel_exc.value)
+        with pytest.raises(ExtractionError) as chunk_exc:
+            extract_many(corrupted_traces[8:16], config, index_base=8)
+        assert str(chunk_exc.value) == str(serial_exc.value)
+        assert "message 13" in str(chunk_exc.value)
 
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_skip_counting_matches_serial(self, corrupted_traces, jobs):
-        """The skip ledger survives the process boundary: the metric is
-        folded exactly once per dropped trace, at any job count."""
+    @pytest.mark.parametrize("n_chunks", [1, 2, 3])
+    def test_skip_counting_matches_serial(self, corrupted_traces, n_chunks):
+        """Chunk ledgers carry run-global indices and count nothing; the
+        metric is folded exactly once per dropped trace, as one pass
+        folds it, however the run is chunked."""
         import repro.obs as obs
 
         config = ExtractionConfig.for_trace(corrupted_traces[0])
         serial_registry = obs.MetricsRegistry()
         with obs.use_registry(serial_registry):
             serial = extract_many(corrupted_traces, config, skip_failures=True)
-        fanned_registry = obs.MetricsRegistry()
-        with obs.use_registry(fanned_registry):
-            with mock.patch.object(engine_mod, "_usable_cpus", return_value=4):
-                fanned = extract_many_parallel(
-                    corrupted_traces, config, jobs=jobs, skip_failures=True
+        step = -(-len(corrupted_traces) // n_chunks)
+        chunked_registry = obs.MetricsRegistry()
+        chunked, ledger = [], []
+        with obs.use_registry(chunked_registry):
+            for lo in range(0, len(corrupted_traces), step):
+                edges, skipped = extract_many_indexed(
+                    corrupted_traces[lo:lo + step],
+                    config,
+                    skip_failures=True,
+                    index_base=lo,
                 )
-        assert len(fanned) == len(serial) == len(corrupted_traces) - 1
-        for a, b in zip(serial, fanned):
-            assert np.array_equal(a.vector, b.vector)
+                chunked.extend(edges)
+                ledger.extend(skipped)
         name = "vprofile_extraction_skipped_total"
+        assert chunked_registry.get(name) is None
+        assert [index for index, _ in ledger] == [13]
+        assert len(chunked) == len(serial) == len(corrupted_traces) - 1
+        for a, b in zip(serial, chunked):
+            assert np.array_equal(a.vector, b.vector)
         assert serial_registry.get(name).value == 1
-        assert fanned_registry.get(name).value == 1
 
 
 def _outcome(outcome):
